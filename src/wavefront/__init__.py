@@ -19,7 +19,6 @@ from .data import (
 from .dsp import (
     Waveform,
     Window,
-    fft_radix2,
     frame_signal,
     hanning_window,
     power_spectrum,

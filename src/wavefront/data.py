@@ -276,6 +276,8 @@ def uar(predictions, truths) -> float:
         raise ValueError(
             f"length mismatch: {len(predictions)} predictions, {len(truths)} truths"
         )
+    if len(truths) == 0:
+        raise ValueError("UAR of no utterances is undefined")
     recalls = []
     for label in sorted(set(truths)):
         idx = [i for i, t in enumerate(truths) if t == label]

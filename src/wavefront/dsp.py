@@ -1,4 +1,4 @@
-"""Shared signal primitives: windows, pre-emphasis, framing, radix-2 FFT.
+"""Shared signal primitives: windows, pre-emphasis, framing, power spectrum.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -84,68 +84,18 @@ def frame_signal(w: Waveform, win_len: int, hop: int) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(w.samples, win_len)[::hop])
 
 
-# Bit-reversal permutations and per-stage twiddle factors, cached by size.
-_fft_tables: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-
-
-def _tables(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    cached = _fft_tables.get(n)
-    if cached is None:
-        bits = n.bit_length() - 1
-        work = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            rev = (rev << 1) | (work & 1)
-            work >>= 1
-        twiddles = []
-        m = 2
-        while m <= n:
-            twiddles.append(np.exp(-2j * np.pi * np.arange(m // 2) / m))
-            m *= 2
-        cached = (rev, twiddles)
-        _fft_tables[n] = cached
-    return cached
-
-
-def fft_radix2(x: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Iterative Cooley-Tukey FFT over the last axis.
-
-    n must be a power of two and at least the input length; shorter inputs
-    are zero-padded.
-    """
-    x = np.asarray(x)
-    if n is None:
-        n = x.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"transform size must be a power of two, got {n}")
-    if x.shape[-1] > n:
-        raise ValueError(f"input length {x.shape[-1]} exceeds transform size {n}")
-    if x.shape[-1] < n:
-        pad = [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]
-        x = np.pad(x, pad)
-    rev, twiddles = _tables(n)
-    a = np.asarray(x[..., rev], dtype=np.complex128)
-    if n == 1:
-        return a
-    batch = a.shape[:-1]
-    a = a.reshape(-1, n)
-    for stage, tw in enumerate(twiddles):
-        m = 2 << stage
-        half = m >> 1
-        a3 = a.reshape(-1, n // m, m)
-        u = a3[:, :, :half]
-        v = a3[:, :, half:] * tw
-        a3[:, :, half:] = u - v
-        a3[:, :, :half] = u + v
-    return a.reshape(*batch, n)
-
-
 def power_spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
-    """Squared-magnitude spectrum |DFT|^2 at bins 0 .. n_fft/2 (last axis)."""
+    """Squared-magnitude spectrum |DFT|^2 at bins 0 .. n_fft/2 (last axis).
+
+    n_fft must be a power of two and at least the frame length; shorter
+    frames are zero-padded.
+    """
     frame = np.asarray(frame, dtype=np.float64)
+    if n_fft < 1 or (n_fft & (n_fft - 1)) != 0:
+        raise ValueError(f"transform size must be a power of two, got {n_fft}")
     if n_fft < frame.shape[-1]:
         raise ValueError(
             f"n_fft {n_fft} smaller than frame length {frame.shape[-1]}"
         )
-    spec = fft_radix2(frame, n_fft)[..., : n_fft // 2 + 1]
+    spec = np.fft.rfft(frame, n_fft)
     return spec.real**2 + spec.imag**2

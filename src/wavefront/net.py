@@ -731,7 +731,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise ConfigError(f"{path} is not a checkpoint file")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        fixed = fh.read(12)
+        if len(fixed) != 12:
+            raise ConfigError(f"{path} is truncated inside its checkpoint header")
+        version, header_len = struct.unpack("<IQ", fixed)
         if version != _CKPT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode())
@@ -753,6 +756,9 @@ def state_from_checkpoint(path) -> TrainState:
     cfg = config_from_dict(meta["config"])
     state = make_train_state(cfg)
     targets = checkpoint_tensors(state)
+    missing = sorted(set(targets) - set(tensors))
+    if missing:
+        raise ConfigError(f"{path} lacks tensors {', '.join(missing)}")
     for name, value in tensors.items():
         if name not in targets:
             raise ConfigError(f"checkpoint tensor '{name}' not used by config")

@@ -3,9 +3,13 @@
 Layer stack: complex 1-D convolution (1 -> 2N channels, stride 1, "same"
 zero padding), modulus and square fused as real^2 + imag^2 (2N -> N), fixed
 squared-Hann lowpass convolution with decimation (valid, stride = hop),
-absolute value, optional log(1 + x). The first convolution's taps are
-initialized as Gabor wavelets matching the mel triangles and carry analytic
-gradients; the lowpass never receives gradient.
+optional log(1 + x). The first convolution's taps are initialized as Gabor
+wavelets matching the mel triangles and carry analytic gradients; the
+lowpass never receives gradient.
+
+The convolution and both of its gradients run by overlap-save on np.fft,
+with each filter's real and imaginary taps as one complex sequence and
+CHUNK filters per transform, so temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform, fft_radix2, squared_hanning_window
+from .dsp import Waveform, squared_hanning_window
 from .melfb import (
     PRE_COMPRESSION_ENERGY,
     TDFB_OUT,
@@ -25,6 +29,9 @@ from .melfb import (
     mel_scale,
     mel_scale_inv,
 )
+
+BLOCK = 4096  # overlap-save block length; grows for kernels over BLOCK / 2 taps
+CHUNK = 8  # filters per batched transform
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,6 @@ class GaborParams:
 class TdfbParams:
     conv_taps: np.ndarray  # (2 * n_filters, kernel_width); rows 2n real, 2n+1 imag
     lowpass_taps: np.ndarray  # fixed L1-normalized squared Hann, never trained
-    conv_stride: int
     lowpass_stride: int
     apply_log: bool
     sample_rate: int
@@ -60,11 +66,9 @@ class TdfbCache:
     """Forward intermediates retained for the backward pass."""
 
     params: TdfbParams
-    frames: np.ndarray  # (kernel_width, n_samples): row j is padded input x[j : j+L]
-    conv_re: np.ndarray  # (n_filters, n_samples)
-    conv_im: np.ndarray
-    pooled: np.ndarray  # (n_filters, n_frames) pre-abs, pre-log
-    pad_left: int
+    spectra: np.ndarray  # (n_blocks, block): DFT of each overlap-save input block
+    conv: np.ndarray  # (n_filters, n_samples) complex: real + 1j * imag output
+    pooled: np.ndarray  # (n_filters, n_frames), pre-log
 
 
 def gabor_params_from_mel(melfb: MelFilterbankMatrix) -> GaborParams:
@@ -124,11 +128,38 @@ def init_tdfb_params(
     return TdfbParams(
         conv_taps=taps,
         lowpass_taps=lp,
-        conv_stride=1,
         lowpass_stride=lowpass_stride,
         apply_log=apply_log,
         sample_rate=melfb.sample_rate,
     )
+
+
+def _lowpass_slots(taps: np.ndarray, hop: int) -> np.ndarray:
+    """Row r holds taps[r*hop : (r+1)*hop], zero-padded. Cut into hop-wide
+    slots, frame f's tap r*hop + s reads slot f + r at offset s."""
+    return np.pad(taps, (0, -taps.size % hop)).reshape(-1, hop)
+
+
+def _lowpass(energy: np.ndarray, slots: np.ndarray, n_frames: int) -> np.ndarray:
+    """out[:, f] = sum_i taps[i] energy[:, f*hop + i] for energy of whole
+    slots, zero past the signal: one product with the slot rows, then a
+    shifted sum over r."""
+    proj = energy.reshape(energy.shape[0], -1, slots.shape[1]) @ slots.T
+    return sum(proj[:, r : r + n_frames, r] for r in range(slots.shape[0]))
+
+
+def _lowpass_adjoint(g: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Transpose of _lowpass: frame f spreads g[:, f] * taps over slots
+    f .. f + len(slots) - 1."""
+    m, n_frames = g.shape
+    shifted = np.zeros((m, n_frames + slots.shape[0], slots.shape[0]))
+    for r in range(slots.shape[0]):
+        shifted[:, r : r + n_frames, r] = g
+    return (shifted @ slots).reshape(m, -1)
+
+
+def _complex_taps(p: TdfbParams) -> np.ndarray:
+    return p.conv_taps[0::2] + 1j * p.conv_taps[1::2]
 
 
 def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
@@ -137,8 +168,6 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     Returns the feature map (n_filters, n_frames) and the cache needed by
     tdfb_backward. n_frames = (len(w) - lowpass_width) // lowpass_stride + 1.
     """
-    if p.conv_stride != 1:
-        raise ValueError("only stride-1 first convolution is supported")
     x = w.samples
     n = x.size
     k = p.kernel_width
@@ -147,34 +176,36 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     if n < k2:
         raise ValueError(f"waveform length {n} shorter than lowpass width {k2}")
     pad_left = (k - 1) // 2
-    xp = np.concatenate([np.zeros(pad_left), x, np.zeros(k - 1 - pad_left)])
-    # Row j of `frames` is xp[j : j+n]; correlation y[t] = sum_j taps[j] xp[t+j]
-    # becomes one matrix product per tap row group.
-    frames = np.empty((k, n))
-    for j in range(k):
-        frames[j] = xp[j : j + n]
-    w_re = np.ascontiguousarray(p.conv_taps[0::2])
-    w_im = np.ascontiguousarray(p.conv_taps[1::2])
-    conv_re = w_re @ frames
-    conv_im = w_im @ frames
-    energy = conv_re * conv_re + conv_im * conv_im  # modulus then square, fused
+    block = max(BLOCK, 1 << (2 * k - 1).bit_length())  # >= 2 k, a power of two
+    step = block - k + 1
+    n_blocks = -(-n // step)
+    # Overlap-save: block b holds xp[b*step : b*step + block] of the padded
+    # input xp, so its circular correlation with the taps equals the linear
+    # one y[t] = sum_j taps[j] xp[t+j] at its first `step` outputs. The
+    # correlation's spectrum is DFT(taps)[-f] X[f] = conj(DFT(conj taps)) X.
+    xp = np.zeros((n_blocks - 1) * step + block)
+    xp[pad_left : pad_left + n] = x
+    spectra = np.fft.fft(sliding_window_view(xp, block)[::step])
+    taps_spec = np.conj(np.fft.fft(np.conj(_complex_taps(p)), block))
     n_frames = (n - k2) // hop + 1
-    s0, s1 = energy.strides
-    windows = as_strided(
-        energy, (energy.shape[0], n_frames, k2), (s0, s1 * hop, s1)
-    )
-    pooled = windows @ p.lowpass_taps
-    feat = np.abs(pooled)
-    out = np.log1p(feat) if p.apply_log else feat
+    conv = np.empty((p.n_filters, n), dtype=np.complex128)
+    pooled = np.empty((p.n_filters, n_frames))
+    slots = _lowpass_slots(p.lowpass_taps, hop)
+    energy = np.zeros((CHUNK, (n_frames + slots.shape[0]) * hop))
+    for f0 in range(0, p.n_filters, CHUNK):
+        fs = slice(f0, f0 + CHUNK)
+        y = np.fft.ifft(taps_spec[fs, None, :] * spectra)
+        c = conv[fs]
+        for b in range(n_blocks):
+            seg = c[:, b * step : (b + 1) * step]
+            seg[...] = y[:, b, : seg.shape[1]]
+        e = energy[: c.shape[0]]
+        np.square(c.real, out=e[:, :n])  # modulus then square, fused
+        e[:, :n] += c.imag**2
+        pooled[fs] = _lowpass(e, slots, n_frames)
+    out = np.log1p(pooled) if p.apply_log else pooled
     role = TDFB_OUT if p.apply_log else PRE_COMPRESSION_ENERGY
-    cache = TdfbCache(
-        params=p,
-        frames=frames,
-        conv_re=conv_re,
-        conv_im=conv_im,
-        pooled=pooled,
-        pad_left=pad_left,
-    )
+    cache = TdfbCache(params=p, spectra=spectra, conv=conv, pooled=pooled)
     return FeatureMap(out, role), cache
 
 
@@ -190,32 +221,54 @@ def tdfb_backward(
             f"grad shape {g.shape} does not match forward output {cache.pooled.shape}"
         )
     if p.apply_log:
-        g = g / (1.0 + np.abs(cache.pooled))
-    # abs subgradient: 0 at exactly-zero output (pooled is >= 0 elsewhere).
-    g = g * np.sign(cache.pooled)
-    n_filters, n = cache.conv_re.shape
-    k2 = p.lowpass_width
-    hop = p.lowpass_stride
-    d_energy = np.zeros((n_filters, n))
-    lp = p.lowpass_taps
-    for frame in range(g.shape[1]):
-        start = frame * hop
-        d_energy[:, start : start + k2] += g[:, frame, None] * lp
-    d_re = 2.0 * cache.conv_re * d_energy
-    d_im = 2.0 * cache.conv_im * d_energy
+        g = g / (1.0 + cache.pooled)
+    g = 2.0 * g  # d(energy)/d(conv) = 2 conv, for the real and the imaginary part
+    n = cache.conv.shape[1]
+    k = p.kernel_width
+    n_blocks, block = cache.spectra.shape
+    step = block - k + 1
+    spectra_conj = np.conj(cache.spectra)
+    taps_spec = None
+    if need_input_grad:
+        taps_spec = np.fft.fft(np.conj(_complex_taps(p)), block)
+    dx_spec = np.zeros_like(cache.spectra)
     grad_taps = np.empty_like(p.conv_taps)
-    grad_taps[0::2] = d_re @ cache.frames.T
-    grad_taps[1::2] = d_im @ cache.frames.T
+    slots = _lowpass_slots(p.lowpass_taps, p.lowpass_stride)
+    # d in blocks of `step` samples; the last k - 1 columns of each stay 0.
+    d = np.zeros((CHUNK, n_blocks, block), dtype=np.complex128)
+    for f0 in range(0, p.n_filters, CHUNK):
+        fs = slice(f0, f0 + CHUNK)
+        c = cache.conv[fs]
+        m = c.shape[0]
+        d_energy = _lowpass_adjoint(g[fs], slots)
+        for b in range(n_blocks):
+            seg = c[:, b * step : (b + 1) * step]
+            np.multiply(
+                seg,
+                d_energy[:, b * step : b * step + seg.shape[1]],
+                out=d[:m, b, : seg.shape[1]],
+            )
+        d_spec = np.fft.fft(d[:m])
+        # Tap gradient: grad[j] = sum_t d[t] xp[t+j] for j < k, block by
+        # block; with W = sum_b D_b conj(X_b) and real X this is
+        # sum_f W[f] e^{-2 pi i f j / block} / block.
+        corr = np.einsum("rbf,bf->rf", d_spec, spectra_conj)
+        grad = np.fft.fft(corr)[:, :k] / block
+        grad_taps[2 * f0 : 2 * (f0 + m) : 2] = grad.real
+        grad_taps[2 * f0 + 1 : 2 * (f0 + m) : 2] = grad.imag
+        if need_input_grad:
+            dx_spec += np.einsum("rbf,rf->bf", d_spec, taps_spec[fs])
     grad_wave = None
     if need_input_grad:
-        w_re = p.conv_taps[0::2]
-        w_im = p.conv_taps[1::2]
-        q = w_re.T @ d_re + w_im.T @ d_im  # (kernel_width, n)
-        k = p.kernel_width
-        dxp = np.zeros(n + k - 1)
-        for j in range(k):
-            dxp[j : j + n] += q[j]
-        grad_wave = dxp[cache.pad_left : cache.pad_left + n]
+        # dxp is Re of the linear convolution of d with conj(taps). A block's
+        # result spans `block` samples; its last k - 1 overlap-add onto the
+        # next block.
+        y = np.fft.ifft(dx_spec).real
+        dxp = np.zeros((n_blocks + 1) * step)
+        dxp[: n_blocks * step] = y[:, :step].ravel()
+        dxp[step:].reshape(n_blocks, step)[:, : k - 1] += y[:, step:]
+        pad_left = (k - 1) // 2
+        grad_wave = dxp[pad_left : pad_left + n]
     return grad_taps, grad_wave
 
 
@@ -230,10 +283,10 @@ def center_frequency_report(
     init_centers = mel_filterbank_matrix(
         p.n_filters, n_fft, p.sample_rate, 0.0, p.sample_rate / 2.0
     ).center_freqs_hz
-    rows = []
-    for i in range(p.n_filters):
-        taps = p.conv_taps[2 * i] + 1j * p.conv_taps[2 * i + 1]
-        mag = np.abs(fft_radix2(taps, n_fft))[: n_fft // 2 + 1]
-        learned_hz = float(np.argmax(mag) * p.sample_rate / n_fft)
-        rows.append((i, learned_hz, float(init_centers[i])))
-    return rows
+    if p.kernel_width > n_fft:
+        raise ValueError(f"kernel width {p.kernel_width} exceeds n_fft {n_fft}")
+    mag = np.abs(np.fft.fft(_complex_taps(p), n_fft))[:, : n_fft // 2 + 1]
+    learned_hz = np.argmax(mag, axis=1) * p.sample_rate / n_fft
+    return [
+        (i, float(learned_hz[i]), float(init_centers[i])) for i in range(p.n_filters)
+    ]

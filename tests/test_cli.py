@@ -199,6 +199,20 @@ class TestTrainEvalCycle:
         ])
         assert code == 2
 
+    def test_truncated_checkpoint_header(self, trained_mel_run, small_corpus, tmp_path):
+        _, root = small_corpus
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((trained_mel_run / "checkpoint.ckpt").read_bytes()[:10])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavefront.cli", "eval", "--checkpoint", str(cut),
+             "--manifest", str(root / "manifest.csv"), "--split", "valid"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and str(cut) in proc.stderr
+
     def test_multi_checkpoint_aggregate(self, trained_mel_run, small_corpus, capsys):
         _, root = small_corpus
         ckpt = str(trained_mel_run / "checkpoint.ckpt")

@@ -283,6 +283,10 @@ class TestUar:
         with pytest.raises(ValueError):
             uar(["a"], ["a", "b"])
 
+    def test_empty_input(self):
+        with pytest.raises(ValueError):
+            uar([], [])
+
     def test_matches_brute_force_on_large_random_sample(self):
         rng = np.random.default_rng(99)
         labels = ["control", "dysarthric"]

@@ -290,6 +290,23 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             net.load_checkpoint(path)
 
+    def test_truncated_header_names_file(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        net.save_checkpoint(path, {"a": np.ones(3)}, {"seed": 0})
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ConfigError, match="cut.ckpt"):
+            net.load_checkpoint(path)
+
+    def test_missing_tensor_is_named(self, tmp_path):
+        cfg = toy_config(frontend="mel", seed=9)
+        tensors = net.checkpoint_tensors(make_train_state(cfg))
+        del tensors["out.w"]
+        meta = {"config": net.config_to_dict(cfg), "seed": cfg.seed, "epoch": 0}
+        path = tmp_path / "partial.ckpt"
+        net.save_checkpoint(path, tensors, meta)
+        with pytest.raises(ConfigError, match=r"out\.w"):
+            net.state_from_checkpoint(path)
+
     def test_state_restores_every_tensor(self, tmp_path):
         cfg = toy_config(seed=9)
         state = make_train_state(cfg)

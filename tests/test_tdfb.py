@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wavefront.dsp import Waveform, fft_radix2
+from wavefront import tdfb
+from wavefront.dsp import Waveform
 from wavefront.melfb import MelConfig, log_mel_features, mel_filterbank_matrix
 from wavefront.tdfb import (
     center_frequency_report,
@@ -23,16 +24,42 @@ def params():
     return init_tdfb_params(MATRIX)
 
 
-def toy_params(apply_log=True, jitter_seed=None):
-    matrix = mel_filterbank_matrix(2, 64, SR, 0.0, 8000.0)
+def toy_params(apply_log=True, jitter_seed=None, n_filters=2, kernel_width=9):
+    matrix = mel_filterbank_matrix(n_filters, 64, SR, 0.0, 8000.0)
     p = init_tdfb_params(
-        matrix, kernel_width=9, lowpass_width=16, lowpass_stride=4,
+        matrix, kernel_width=kernel_width, lowpass_width=16, lowpass_stride=4,
         apply_log=apply_log,
     )
     if jitter_seed is not None:
         rng = np.random.default_rng(jitter_seed)
         p.conv_taps += 0.05 * rng.standard_normal(p.conv_taps.shape)
     return p
+
+
+def oracle_energy(x, p, channels):
+    """Pooled energy of the given channels from np.correlate with the real
+    and imaginary taps and a direct squared-Hann pooling sum."""
+    k = p.kernel_width
+    pad_left = (k - 1) // 2
+    xp = np.concatenate([np.zeros(pad_left), x, np.zeros(k - 1 - pad_left)])
+    lp = np.hanning(p.lowpass_width) ** 2
+    lp /= lp.sum()
+    hop = p.lowpass_stride
+    n_frames = (x.size - lp.size) // hop + 1
+    rows = []
+    for ch in channels:
+        re = np.correlate(xp, p.conv_taps[2 * ch], "valid")
+        im = np.correlate(xp, p.conv_taps[2 * ch + 1], "valid")
+        energy = re**2 + im**2
+        rows.append(
+            [np.dot(lp, energy[f * hop : f * hop + lp.size]) for f in range(n_frames)]
+        )
+    return np.array(rows)
+
+
+def assert_rel_close(actual, expected, rel):
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= rel * scale
 
 
 class TestGaborParams:
@@ -81,7 +108,7 @@ class TestGaborImpulseResponse:
         bin_width = SR / 512
         for n in (10, 32, 63):
             taps = gabor_impulse_response(g, n, 400, SR)
-            mag = np.abs(fft_radix2(taps, 512))[:257]
+            mag = np.abs(np.fft.fft(taps, 512))[:257]
             peak_hz = np.argmax(mag) * bin_width
             assert abs(peak_hz - g.center_freqs_hz[n]) <= bin_width
 
@@ -137,6 +164,28 @@ class TestForward:
         with pytest.raises(ValueError):
             tdfb_forward(Waveform(np.ones(100), SR), params)
 
+    def test_matches_correlate_oracle_at_paper_shapes(self):
+        p = init_tdfb_params(MATRIX, apply_log=False)
+        rng = np.random.default_rng(4)
+        p.conv_taps += 0.01 * rng.standard_normal(p.conv_taps.shape)
+        x = 0.1 * rng.standard_normal(40000)
+        fm, _ = tdfb_forward(Waveform(x, SR), p)
+        channels = (0, 7, 8, 21, 42, 63)  # both sides of a chunk edge, and more
+        expected = oracle_energy(x, p, channels)
+        for row, ch in enumerate(channels):
+            assert_rel_close(fm.values[ch], expected[row], 1e-12)
+
+    def test_kernel_wider_than_half_block(self):
+        # 2100 taps leave a 4096-point block too little room, so it grows to
+        # 8192; 20 000 samples then span four blocks.
+        p = toy_params(apply_log=False, jitter_seed=18, n_filters=3, kernel_width=2100)
+        x = np.random.default_rng(19).standard_normal(20000)
+        fm, cache = tdfb_forward(Waveform(x, SR), p)
+        assert cache.spectra.shape == (4, 8192)
+        expected = oracle_energy(x, p, range(3))
+        for ch in range(3):
+            assert_rel_close(fm.values[ch], expected[ch], 1e-12)
+
 
 class TestBackward:
     def test_finite_differences_on_toy_instance(self):
@@ -175,6 +224,80 @@ class TestBackward:
             denom = max(abs(grad_wave[i]), abs(numeric), 1e-8)
             assert abs(grad_wave[i] - numeric) / denom < 1e-5
 
+    def test_finite_differences_across_blocks(self):
+        # 10 filters fill one transform chunk and part of the next; the
+        # waveform spans four overlap-save blocks, the last one partial.
+        p = toy_params(jitter_seed=22, n_filters=10)
+        k = p.kernel_width
+        step = tdfb.BLOCK - k + 1
+        n = 3 * step + 123
+        rng = np.random.default_rng(23)
+        samples = rng.standard_normal(n)
+        n_frames = (n - p.lowpass_width) // p.lowpass_stride + 1
+        probe = rng.standard_normal((10, n_frames))
+
+        def loss(sample_vec):
+            fm, _ = tdfb_forward(Waveform(sample_vec, SR), p)
+            return float((fm.values * probe).sum())
+
+        _, cache = tdfb_forward(Waveform(samples, SR), p)
+        assert cache.spectra.shape[0] == 4
+        grad_taps, grad_wave = tdfb_backward(probe, cache)
+
+        def assert_matches(analytic, numeric):
+            denom = max(abs(analytic), abs(numeric), 1e-8)
+            assert abs(analytic - numeric) / denom < 1e-5
+
+        h = 1e-5
+        for idx in np.ndindex(p.conv_taps.shape):
+            orig = p.conv_taps[idx]
+            p.conv_taps[idx] = orig + h
+            up = loss(samples)
+            p.conv_taps[idx] = orig - h
+            down = loss(samples)
+            p.conv_taps[idx] = orig
+            assert_matches(grad_taps[idx], (up - down) / (2 * h))
+        # Samples at both ends and where each block's overlap-add tail
+        # meets the next block.
+        pad_left = (k - 1) // 2
+        edges = [0, 1, n - 2, n - 1]
+        for b in range(1, 4):
+            edges += [b * step - pad_left + o for o in range(-2, k + 1)]
+        for i in edges:
+            orig = samples[i]
+            samples[i] = orig + h
+            up = loss(samples)
+            samples[i] = orig - h
+            down = loss(samples)
+            samples[i] = orig
+            assert_matches(grad_wave[i], (up - down) / (2 * h))
+        v = rng.standard_normal(n)
+        numeric = (loss(samples + h * v) - loss(samples - h * v)) / (2 * h)
+        assert_matches(float(grad_wave @ v), numeric)
+
+    def test_wide_kernel_directional_gradients(self):
+        p = toy_params(jitter_seed=20, n_filters=3, kernel_width=2100)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(13000)
+        fm, cache = tdfb_forward(Waveform(x, SR), p)
+        probe = rng.standard_normal(fm.values.shape)
+        grad_taps, grad_wave = tdfb_backward(probe, cache)
+        base = p.conv_taps.copy()
+        h = 1e-6
+        for v_taps, v_wave in (
+            (rng.standard_normal(base.shape), np.zeros_like(x)),
+            (np.zeros_like(base), rng.standard_normal(x.size)),
+        ):
+
+            def loss(t):
+                p.conv_taps[...] = base + t * v_taps
+                fm, _ = tdfb_forward(Waveform(x + t * v_wave, SR), p)
+                return float((fm.values * probe).sum())
+
+            numeric = (loss(h) - loss(-h)) / (2 * h)
+            analytic = np.sum(grad_taps * v_taps) + np.sum(grad_wave * v_wave)
+            assert analytic == pytest.approx(numeric, rel=1e-6)
+
     def test_zero_upstream_gradient(self):
         p = toy_params(jitter_seed=13)
         x = np.random.default_rng(14).standard_normal(64)
@@ -199,6 +322,16 @@ class TestBackward:
         _, cache = tdfb_forward(Waveform(x, SR), p)
         with pytest.raises(ValueError):
             tdfb_backward(np.zeros((2, 99)), cache)
+
+
+class TestCacheMemory:
+    def test_paper_clip_cache_under_64_mb(self, params):
+        x = np.random.default_rng(24).standard_normal(40000) * 0.05
+        _, cache = tdfb_forward(Waveform(x, SR), params)
+        held = sum(
+            v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray)
+        )
+        assert held < 64e6
 
 
 class TestCenterFrequencyReport:
