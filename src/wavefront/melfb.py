@@ -124,8 +124,10 @@ def mel_energy_features(
         matrix = mel_filterbank_matrix(
             cfg.n_filters, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max
         )
-    frames = frame_signal(w, cfg.win_len, cfg.hop)
-    windowed = frames * hanning_window(cfg.win_len).taps
+    taps = hanning_window(cfg.win_len).taps
+    # The unwindowed frames are freed before the transform runs, which
+    # lowers the peak memory of a feature pass by one frame matrix.
+    windowed = frame_signal(w, cfg.win_len, cfg.hop) * taps
     spectra = power_spectrum(windowed, cfg.n_fft)
     energies = spectra @ matrix.weights.T
     return FeatureMap(np.ascontiguousarray(energies.T), PRE_COMPRESSION_ENERGY)

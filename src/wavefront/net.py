@@ -6,7 +6,8 @@ vector, and a dense layer produces the label logits. All gradients are
 hand-derived, including backprop through time; the optimizer is SGD with
 classic momentum at batch size 1. Also here: run configuration, frontend
 dispatch, checkpoint serialization, and the finite-difference gradient
-check registry.
+check registry. Evaluation and validation run a forward-only copy of the
+classifier over batches of PREDICT_BATCH utterances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,9 @@ from .tdfb import TdfbParams, init_tdfb_params, tdfb_backward, tdfb_forward
 FRONTENDS = ("mel", "mel_mvn", "mel_pcen", "tdfb", "tdfb_pcen")
 PCEN_FRONTENDS = ("mel_pcen", "tdfb_pcen")
 PCEN_PARAM_NAMES = ("r", "alpha", "delta")
+# Utterances per forward-only batch in evaluate and validation. Every clip is
+# padded or trimmed to clip_seconds, so a batch needs no mask.
+PREDICT_BATCH = 8
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +84,7 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
             pcen_learn = PCEN_PARAM_NAMES
         bad = [p for p in pcen_learn if p not in PCEN_PARAM_NAMES]
         if bad:
-            raise ConfigError(f"unknown PCEN parameters: {', '.join(bad)}")
+            raise ConfigError(f"unknown PCEN parameters: {', '.join(map(str, bad))}")
         pcen_learn = tuple(p for p in PCEN_PARAM_NAMES if p in pcen_learn)
     else:
         if pcen_learn:
@@ -102,10 +106,26 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> RunConfig:
-    d = dict(d)
-    d["pcen_learn"] = tuple(d.get("pcen_learn", ()))
-    return RunConfig(**d)
+# JSON types accepted for each RunConfig field type; pcen_learn is a list.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+
+
+def config_from_dict(d) -> RunConfig:
+    """Rebuild a RunConfig written by config_to_dict, with the checks of
+    make_run_config. A key RunConfig lacks, or a value of the wrong JSON
+    type, raises ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError("config is not a JSON object")
+    hints = typing.get_type_hints(RunConfig)
+    unknown = sorted(set(d) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in d.items():
+        want = _JSON_TYPES.get(hints[name], list)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"config '{name}' has invalid value {value!r}")
+    kwargs = dict(d)
+    return make_run_config(kwargs.pop("frontend", None), **kwargs)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -191,12 +211,10 @@ def init_model_params(
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    # overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -217,10 +235,10 @@ def lstm_forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, LstmCache]:
     n_frames = x.shape[0]
     h = p.hidden_size
     pre = x @ p.lstm_wx.T + p.lstm_b  # input contribution for every step
-    gi = np.empty((n_frames, h))
-    gf = np.empty((n_frames, h))
+    # One sigmoid over all 4H pre-activations per step; the cell-input
+    # columns of `gates` are unused, tanh gives that gate.
+    gates = np.empty((n_frames, 4 * h))
     gg = np.empty((n_frames, h))
-    go = np.empty((n_frames, h))
     cells = np.empty((n_frames, h))
     tanh_cells = np.empty((n_frames, h))
     hidden = np.empty((n_frames, h))
@@ -228,17 +246,17 @@ def lstm_forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, LstmCache]:
     c_prev = np.zeros(h)
     for t in range(n_frames):
         z = pre[t] + p.lstm_wh @ h_prev
-        gi[t] = _sigmoid(z[:h])
-        gf[t] = _sigmoid(z[h : 2 * h])
+        gates[t] = s = _sigmoid(z)
         gg[t] = np.tanh(z[2 * h : 3 * h])
-        go[t] = _sigmoid(z[3 * h :])
-        c_prev = gf[t] * c_prev + gi[t] * gg[t]
+        c_prev = s[h : 2 * h] * c_prev + s[:h] * gg[t]
         cells[t] = c_prev
         tanh_cells[t] = np.tanh(c_prev)
-        h_prev = go[t] * tanh_cells[t]
+        h_prev = s[3 * h :] * tanh_cells[t]
         hidden[t] = h_prev
-        if not np.all(np.isfinite(h_prev)):
-            raise NumericError(f"non-finite LSTM state at timestep {t}")
+    bad = ~np.isfinite(hidden).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite LSTM state at timestep {np.argmax(bad)}")
+    gi, gf, go = gates[:, :h], gates[:, h : 2 * h], gates[:, 3 * h :]
     return hidden, LstmCache(x, gi, gf, gg, go, cells, tanh_cells, hidden)
 
 
@@ -365,6 +383,69 @@ def classifier_backward(grad_logits, caches, p: ModelParams):
     lstm_grads, grad_x = lstm_backward(grad_hidden, lstm_cache, p)
     grads.update(lstm_grads)
     return grads, grad_x.T  # back to (channels, frames)
+
+
+def predict_logits(x: np.ndarray, p: ModelParams, ids=None) -> np.ndarray:
+    """Forward-only classifier over a batch of equal-length utterances.
+
+    x is (frames, batch, channels); returns (batch, n_labels) logits, the
+    values classifier_forward gives each utterance up to rounding. Nothing
+    is kept for backprop: each step projects only its own input frame and
+    scores its hidden state for attention at once. A non-finite LSTM state
+    raises NumericError naming the first such batch row, by ids[row] when
+    ids is given, and its first non-finite timestep.
+    """
+    n_frames, batch, _ = x.shape
+    h = p.hidden_size
+    h_prev = np.zeros((batch, h))
+    c_prev = np.zeros((batch, h))
+    hidden = np.empty((n_frames, batch, h))
+    scores = np.empty((n_frames, batch))
+    for t in range(n_frames):
+        z = x[t] @ p.lstm_wx.T + p.lstm_b
+        z += h_prev @ p.lstm_wh.T
+        s = _sigmoid(z)
+        c_prev = s[:, h : 2 * h] * c_prev + s[:, :h] * np.tanh(z[:, 2 * h : 3 * h])
+        h_prev = s[:, 3 * h :] * np.tanh(c_prev)
+        hidden[t] = h_prev
+        scores[t] = np.tanh(h_prev @ p.attn1_w.T + p.attn1_b) @ p.attn2_w
+    bad = ~np.isfinite(hidden).all(axis=2)  # (frames, batch)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        name = f"utterance {ids[row]}" if ids is not None else f"batch row {row}"
+        raise NumericError(
+            f"non-finite LSTM state in {name} at timestep {np.argmax(bad[:, row])}"
+        )
+    # attn2.b shifts every score of an utterance equally, which the softmax
+    # cancels, so it is left out.
+    weights = np.exp(scores - scores.max(axis=0))
+    weights /= weights.sum(axis=0)
+    context = np.einsum("tb,tbh->bh", weights, hidden)
+    return context @ p.out_w.T + p.out_b
+
+
+def batched_logits(p: ModelParams, utterances: list, features_of) -> np.ndarray:
+    """Logits (len(utterances), n_labels), in utterance order, from
+    predict_logits over chunks of PREDICT_BATCH. features_of(utt) returns
+    (channels, frames) features; each is copied into the chunk's block as
+    soon as it is computed, so at most one chunk of feature maps is held."""
+    logits = [np.empty((0, p.out_b.shape[0]))]
+    block = None
+    for start in range(0, len(utterances), PREDICT_BATCH):
+        chunk = utterances[start : start + PREDICT_BATCH]
+        for i, utt in enumerate(chunk):
+            values = features_of(utt)
+            if block is None:
+                block = np.empty((values.shape[1], PREDICT_BATCH, values.shape[0]))
+            if values.shape != (block.shape[2], block.shape[0]):
+                raise ValueError(
+                    f"utterance {utt.utt_id} has features of shape {values.shape}, "
+                    f"not {(block.shape[2], block.shape[0])} as the first one"
+                )
+            block[:, i] = values.T
+        ids = [u.utt_id for u in chunk]
+        logits.append(predict_logits(block[:, : len(chunk)], p, ids))
+    return np.concatenate(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +708,10 @@ def step_utterance(
 
 
 def predict_label(state: TrainState, wave: Waveform, features=None) -> int:
+    """Label index for one utterance, as a batch of one."""
     if features is None:
         features, _ = frontend_forward(state.frontend, wave)
-    logits, _, _ = classifier_forward(features, state.model)
-    return int(np.argmax(logits))
+    return int(np.argmax(predict_logits(features.T[:, None, :], state.model)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -646,40 +727,22 @@ class EvalResult:
     predictions: list[str]
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("WAVEFRONT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate(
-    state: TrainState,
-    utterances: list[Utterance],
-    wave_provider=None,
-    threads: int | None = None,
+    state: TrainState, utterances: list[Utterance], wave_provider=None
 ) -> EvalResult:
-    """Deterministic evaluation in the given utterance order. Parallel
-    forward passes are capped by WAVEFRONT_THREADS (params are read-only)."""
+    """Deterministic evaluation in the given utterance order, in batches of
+    PREDICT_BATCH. wave_provider(utt) defaults to the prepared WAV file."""
     if wave_provider is None:
         cfg = state.config
 
         def wave_provider(utt):
             return prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
 
-    if threads is None:
-        threads = _n_threads()
+    def features_of(utt):
+        return frontend_forward(state.frontend, wave_provider(utt))[0]
 
-    def run_one(utt):
-        return predict_label(state, wave_provider(utt))
-
-    if threads > 1 and len(utterances) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            indices = list(pool.map(run_one, utterances))
-    else:
-        indices = [run_one(u) for u in utterances]
-    predictions = [LABELS[i] for i in indices]
+    logits = batched_logits(state.model, utterances, features_of)
+    predictions = [LABELS[i] for i in np.argmax(logits, axis=1)]
     truths = [u.label for u in utterances]
     confusion = {t: {p: 0 for p in LABELS} for t in LABELS}
     for t, p in zip(truths, predictions):
@@ -705,25 +768,34 @@ _CKPT_MAGIC = b"WFCP"
 _CKPT_VERSION = 1
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to a temp file in path's directory, then
+    os.replace it onto path. A write that fails leaves an earlier file at
+    path intact and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Versioned binary container: named float64 tensors plus a JSON header
     recording the config, its hash, seed, and epoch. Round-trips bit-exactly."""
-    entries = []
-    payloads = []
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape)})
-        payloads.append(arr.tobytes())
+    names = sorted(tensors)
+    arrays = [np.ascontiguousarray(tensors[n], dtype="<f8") for n in names]
+    entries = [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)]
     header = json.dumps(
         {"version": _CKPT_VERSION, "meta": meta, "tensors": entries},
         sort_keys=True,
     ).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", _CKPT_VERSION, len(header)))
-        fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+    head = [_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(header)), header]
+    write_atomic(path, head + arrays)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -823,10 +895,8 @@ def train_run(
         return values
 
     def valid_uar() -> float:
-        preds = [
-            LABELS[predict_label(state, None, features=eval_features(u))]
-            for u in valid_utts
-        ]
+        logits = batched_logits(state.model, valid_utts, eval_features)
+        preds = [LABELS[i] for i in np.argmax(logits, axis=1)]
         return uar(preds, [u.label for u in valid_utts])
 
     best_epoch = 0
@@ -865,13 +935,12 @@ def train_run(
     checkpoint_path = out_dir / checkpoint_name
     save_checkpoint(checkpoint_path, best_tensors, meta)
 
-    with open(out_dir / log_name, "w") as fh:
-        fh.write("epoch,train_loss,valid_uar\n")
-        for epoch, loss, epoch_uar in log_rows:
-            fh.write(f"{epoch},{loss!r},{epoch_uar!r}\n")
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    log = "epoch,train_loss,valid_uar\n" + "".join(
+        f"{epoch},{loss!r},{epoch_uar!r}\n" for epoch, loss, epoch_uar in log_rows
+    )
+    write_atomic(out_dir / log_name, [log.encode()])
+    config_json = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "config.json", [config_json.encode()])
 
     return TrainResult(
         config=cfg,

@@ -26,7 +26,6 @@ SINGLE_CORE_ENV = {
     "OMP_NUM_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
-    "WAVEFRONT_THREADS": "1",
 }
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavefront import cli
+from wavefront import cli, net
 from wavefront.data import Waveform, load_manifest, write_wav
 
 
@@ -280,6 +280,28 @@ class TestInspectCommand:
             "--out-dir", str(tmp_path), "--what", "filters",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"dropout": 0.5}, "unknown config keys: dropout"),
+         ({"epochs": -5}, "epochs must be >= 0")],
+    )
+    def test_bad_checkpoint_config_is_config_error(
+        self, init_checkpoint, tmp_path, change, message
+    ):
+        tensors, meta = net.load_checkpoint(init_checkpoint)
+        meta["config"].update(change)
+        bad = tmp_path / "bad.ckpt"
+        net.save_checkpoint(bad, tensors, meta)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavefront.cli", "inspect", "--checkpoint", str(bad),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and message in proc.stderr
 
 
 class TestConsoleScript:

@@ -90,6 +90,25 @@ class TestLstm:
         with pytest.raises(NumericError, match="timestep 0"):
             lstm_forward(np.ones((4, 3)), p)
 
+    def test_first_non_finite_timestep_is_named(self):
+        p = init_model_params(np.random.default_rng(3), 3, 5, 4, 2)
+        x = np.ones((6, 3))
+        x[3, 1] = np.nan
+        with pytest.raises(NumericError, match="timestep 3$"):
+            lstm_forward(x, p)
+
+    def test_sigmoid_matches_masked_two_branch_form(self):
+        z = np.concatenate([
+            np.random.default_rng(4).normal(0.0, 8.0, 1000),
+            [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0],
+        ])
+        ref = np.empty_like(z)
+        pos = z >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        assert np.array_equal(net._sigmoid(z), ref)
+
 
 class TestAttention:
     def setup_method(self):
@@ -202,10 +221,35 @@ class TestRunConfig:
         cfg = make_run_config("tdfb_pcen", pcen_learn=("r",), seed=5, epochs=3)
         assert net.config_from_dict(net.config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dropout": 0.5}, "unknown config keys: dropout"),
+            ({"epochs": -5}, "epochs must be >= 0"),
+            ({"patience": 0}, "patience must be >= 1"),
+            ({"epochs": "5"}, "'epochs' has invalid value '5'"),
+            ({"hidden_size": 6.0}, "'hidden_size' has invalid value 6.0"),
+            ({"seed": True}, "'seed' has invalid value True"),
+            ({"pcen_learn": "r"}, "'pcen_learn' has invalid value 'r'"),
+            ({"pcen_learn": ["gamma"]}, "unknown PCEN parameters: gamma"),
+            ({"frontend": "spectrogram"}, "unknown frontend 'spectrogram'"),
+        ],
+    )
+    def test_dict_gets_the_checks_of_make_run_config(self, change, message):
+        d = net.config_to_dict(make_run_config("mel_pcen"))
+        d.update(change)
+        with pytest.raises(ConfigError, match=message):
+            net.config_from_dict(d)
+
+    def test_dict_without_frontend(self):
+        d = net.config_to_dict(make_run_config("mel"))
+        del d["frontend"]
+        with pytest.raises(ConfigError, match="unknown frontend"):
+            net.config_from_dict(d)
+
 
 def toy_config(frontend="tdfb_pcen", **kw):
-    return make_run_config(
-        frontend,
+    sizes = dict(
         n_filters=2,
         win_len=9,
         hop=4,
@@ -213,8 +257,8 @@ def toy_config(frontend="tdfb_pcen", **kw):
         hidden_size=4,
         attn_size=3,
         clip_seconds=64 / 16000,
-        **kw,
     )
+    return make_run_config(frontend, **{**sizes, **kw})
 
 
 class TestEndToEnd:
@@ -307,6 +351,34 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=r"out\.w"):
             net.state_from_checkpoint(path)
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "kept.ckpt"
+        net.save_checkpoint(path, {"a": np.ones(3)}, {"seed": 0})
+        before = path.read_bytes()
+
+        def chunks():
+            yield b"WFCP"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            net.write_atomic(path, chunks())
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["kept.ckpt"]
+
+    def test_failed_replace_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "kept.ckpt"
+        net.save_checkpoint(path, {"a": np.ones(3)}, {"seed": 0})
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(net.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            net.save_checkpoint(path, {"a": np.zeros(3)}, {"seed": 1})
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["kept.ckpt"]
+
     def test_state_restores_every_tensor(self, tmp_path):
         cfg = toy_config(seed=9)
         state = make_train_state(cfg)
@@ -328,23 +400,67 @@ class TestCheckpoint:
 
 
 class TestEvaluate:
-    def make_state_and_utts(self):
-        state = make_train_state(toy_config(frontend="tdfb", seed=7))
+    def make_state_and_utts(self, frontend="tdfb", n=10, n_samples=64, **kw):
+        state = make_train_state(toy_config(frontend=frontend, seed=7, **kw))
         rng = np.random.default_rng(8)
         utts, waves = [], {}
-        for i in range(10):
+        for i in range(n):
             label = "control" if i % 2 == 0 else "dysarthric"
             utt = Utterance(f"u{i}", f"/nonexistent/u{i}.wav", label, f"s{i}", "test")
             utts.append(utt)
-            waves[utt.utt_id] = Waveform(rng.standard_normal(64), 16000)
+            waves[utt.utt_id] = Waveform(rng.standard_normal(n_samples), 16000)
         return state, utts, lambda u: waves[u.utt_id]
 
-    def test_threaded_matches_serial(self):
-        state, utts, provider = self.make_state_and_utts()
-        serial = net.evaluate(state, utts, wave_provider=provider, threads=1)
-        threaded = net.evaluate(state, utts, wave_provider=provider, threads=4)
-        assert serial.predictions == threaded.predictions
-        assert serial.uar == threaded.uar
+    def test_batched_matches_per_utterance(self):
+        # 19 utterances: two full batches of PREDICT_BATCH and a partial one.
+        assert 19 % net.PREDICT_BATCH != 0
+        for frontend in net.FRONTENDS:
+            state, utts, provider = self.make_state_and_utts(
+                frontend, n=19, n_samples=800, n_filters=6, hidden_size=9, attn_size=5
+            )
+            rng = np.random.default_rng(9)
+            for tensor in state.model.tensors().values():  # biases start at 0
+                tensor += 0.3 * rng.standard_normal(tensor.shape)
+            features = {
+                u.utt_id: net.frontend_forward(state.frontend, provider(u))[0]
+                for u in utts
+            }
+            per_utt = np.array(
+                [classifier_forward(features[u.utt_id], state.model)[0] for u in utts]
+            )
+            batched = net.batched_logits(
+                state.model, utts, lambda u: features[u.utt_id]
+            )
+            assert batched.shape == per_utt.shape
+            assert np.max(np.abs(batched - per_utt)) <= 1e-12, frontend
+            expected = [net.LABELS[i] for i in np.argmax(per_utt, axis=1)]
+            result = net.evaluate(state, utts, wave_provider=provider)
+            assert result.predictions == expected, frontend
+            assert net.predict_label(state, provider(utts[3])) == np.argmax(per_utt[3])
+
+    def test_non_finite_state_names_the_utterance(self):
+        state, utts, provider = self.make_state_and_utts(n=12)
+        features = {
+            u.utt_id: net.frontend_forward(state.frontend, provider(u))[0]
+            for u in utts
+        }
+        features["u10"] = features["u10"].copy()
+        features["u10"][1, 2] = np.nan
+        with pytest.raises(NumericError, match="utterance u10 at timestep 2"):
+            net.batched_logits(state.model, utts, lambda u: features[u.utt_id])
+        x = np.stack([features[u.utt_id].T for u in utts[8:]], axis=1)
+        with pytest.raises(NumericError, match="utterance u10 at timestep 2"):
+            net.predict_logits(x, state.model, [u.utt_id for u in utts[8:]])
+
+    def test_unequal_feature_lengths_are_rejected(self):
+        state, utts, provider = self.make_state_and_utts(n=4)
+        short = Waveform(np.zeros(40), 16000)
+
+        def waves(u):
+            return short if u.utt_id == "u2" else provider(u)
+
+        with pytest.raises(ValueError, match="utterance u2"):
+            net.evaluate(state, utts, wave_provider=waves)
 
     def test_confusion_counts_sum_to_n(self):
         state, utts, provider = self.make_state_and_utts()
