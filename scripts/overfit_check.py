@@ -4,57 +4,28 @@ report how many epochs each needs to cut the loss below 10% of its start."""
 
 import argparse
 
-import numpy as np
-
 from wavefront import net
-from wavefront.data import LABELS, load_manifest, read_wav
+from wavefront.data import load_manifest
+from wavefront.errors import ValidationError
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--manifest", required=True)
     parser.add_argument("--max-epochs", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     manifest = load_manifest(args.manifest)
-    train = manifest.split("train")
-    subset = [u for u in train if u.label == LABELS[0]][:5]
-    subset += [u for u in train if u.label == LABELS[1]][:5]
-    if len(subset) < 10:
-        raise SystemExit("need at least 5 train utterances per class")
-
     for frontend in net.FRONTENDS:
         cfg = net.make_run_config(frontend, seed=args.seed, epochs=args.max_epochs)
-        state = net.make_train_state(cfg)
-        provider = net.make_feature_provider(state)
-        waves = {u.utt_id: net.prepare_waveform(read_wav(u.path), cfg)
-                 for u in subset}
-        labels = {u.utt_id: LABELS.index(u.label) for u in subset}
-        ids = [u.utt_id for u in subset]
-
-        def mean_loss():
-            losses = []
-            for i in ids:
-                values, _ = provider(i, waves[i])
-                logits, _, _ = net.classifier_forward(values, state.model)
-                losses.append(net.cross_entropy_loss(logits, labels[i])[0])
-            return float(np.mean(losses))
-
-        initial = mean_loss()
-        reached = None
-        for epoch in range(1, args.max_epochs + 1):
-            for k in state.rng.permutation(len(ids)):
-                net.step_utterance(
-                    state, None, labels[ids[k]],
-                    frontend_out=provider(ids[k], waves[ids[k]]),
-                )
-            current = mean_loss()
-            if current < 0.1 * initial:
-                reached = epoch
-                break
-        status = f"epoch {reached}" if reached else "NOT REACHED"
-        print(f"{frontend:10s} initial {initial:.4f} -> {current:.4f} ({status})")
+        try:
+            r = net.overfit_check(manifest, cfg)
+        except ValidationError as e:
+            raise SystemExit(str(e)) from e
+        reached = r.final < 0.1 * r.initial
+        status = f"epoch {r.epochs}" if reached else "NOT REACHED"
+        print(f"{frontend:10s} initial {r.initial:.4f} -> {r.final:.4f} ({status})")
 
 
 if __name__ == "__main__":

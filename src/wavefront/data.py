@@ -119,10 +119,12 @@ def save_manifest(m: Manifest, path, relative_to=None) -> None:
 
 def load_manifest(path) -> Manifest:
     """Load a manifest CSV; relative utterance paths resolve against the
-    manifest's directory."""
+    manifest's directory. An id may appear on one row only, as training
+    caches each utterance's features by id."""
     path = Path(path)
     base = path.parent
     records = []
+    first_line: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -138,6 +140,12 @@ def load_manifest(path) -> Manifest:
                 raise ValidationError(f"unknown label '{label}' at line {lineno}")
             if split not in SPLITS:
                 raise ValidationError(f"unknown split '{split}' at line {lineno}")
+            if utt_id in first_line:
+                raise ValidationError(
+                    f"duplicate id '{utt_id}' at lines {first_line[utt_id]} "
+                    f"and {lineno}"
+                )
+            first_line[utt_id] = lineno
             if not os.path.isabs(p):
                 p = str(base / p)
             records.append(Utterance(utt_id, p, label, speaker, split))

@@ -16,7 +16,6 @@ from .dsp import Waveform, frame_signal, hanning_window, power_spectrum
 LOG_MEL = "log_mel"
 PRE_COMPRESSION_ENERGY = "pre_compression_energy"
 PCEN_OUT = "pcen_out"
-TDFB_OUT = "tdfb_out"
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ A unidirectional LSTM (hidden 60) reads the feature frames, an additive
 attention block (FC-50 -> FC-1 -> softmax over time) pools them into one
 vector, and a dense layer produces the label logits. All gradients are
 hand-derived, including backprop through time; the optimizer is SGD with
-classic momentum at batch size 1. Also here: run configuration, frontend
-dispatch, checkpoint serialization, and the finite-difference gradient
-check registry. Evaluation and validation run a forward-only copy of the
+classic momentum at batch size 1. Also here: run configuration, the
+frontend (a filterbank, then a compression) and its per-utterance feature
+cache, checkpoint serialization, and the finite-difference gradient check
+registry. Evaluation and validation run a forward-only copy of the
 classifier over batches of PREDICT_BATCH utterances.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import typing
@@ -24,18 +26,18 @@ import numpy as np
 
 from .data import LABELS, Manifest, Utterance, pad_or_trim, read_wav, uar
 from .dsp import Waveform, preemphasis
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ValidationError
 from .melfb import (
+    LOG_MEL,
     FeatureMap,
     MelConfig,
     MelFilterbankMatrix,
-    log_mel_features,
     mean_variance_normalize,
     mel_energy_features,
     mel_filterbank_matrix,
 )
-from .pcen import PcenParams, init_pcen_params, pcen_backward, pcen_forward
-from .tdfb import TdfbParams, init_tdfb_params, tdfb_backward, tdfb_forward
+from .pcen import PcenCache, PcenParams, init_pcen_params, pcen_backward, pcen_forward
+from .tdfb import TdfbCache, TdfbParams, init_tdfb_params, tdfb_backward, tdfb_forward
 
 FRONTENDS = ("mel", "mel_mvn", "mel_pcen", "tdfb", "tdfb_pcen")
 PCEN_FRONTENDS = ("mel_pcen", "tdfb_pcen")
@@ -490,16 +492,30 @@ def sgd_momentum_step(
 
 
 # ---------------------------------------------------------------------------
-# Frontend dispatch
+# Frontend: a filterbank, then a compression
 
 
 @dataclass
 class Frontend:
+    """A filterbank, then a compression. The filterbank is the fixed mel
+    energies when tdfb is None, otherwise the learnable time-domain one. The
+    compression is PCEN when pcen is set, otherwise log(1 + x), standardized
+    per channel when mvn is set. build_frontend alone maps kind to these."""
+
     kind: str
     mel_config: MelConfig
     mel_matrix: MelFilterbankMatrix
     tdfb: TdfbParams | None = None
     pcen: PcenParams | None = None
+    mvn: bool = False
+
+
+@dataclass
+class FrontendCache:
+    """What frontend_backward needs from the forward pass."""
+
+    tdfb: TdfbCache | None = None  # None for the fixed mel filterbank
+    pcen: PcenCache | None = None  # None for log(1 + x)
 
 
 def build_frontend(cfg: RunConfig) -> Frontend:
@@ -515,15 +531,13 @@ def build_frontend(cfg: RunConfig) -> Frontend:
     matrix = mel_filterbank_matrix(
         cfg.n_filters, cfg.n_fft, cfg.sample_rate, 0.0, cfg.sample_rate / 2.0
     )
-    fe = Frontend(cfg.frontend, mel_config, matrix)
+    fe = Frontend(cfg.frontend, mel_config, matrix, mvn=cfg.frontend == "mel_mvn")
     if cfg.frontend in ("tdfb", "tdfb_pcen"):
-        # When PCEN follows, it replaces the log compression entirely.
         fe.tdfb = init_tdfb_params(
             matrix,
             kernel_width=cfg.win_len,
             lowpass_width=cfg.win_len,
             lowpass_stride=cfg.hop,
-            apply_log=(cfg.frontend == "tdfb"),
         )
     if cfg.frontend in PCEN_FRONTENDS:
         fe.pcen = init_pcen_params(cfg.n_filters, learn=cfg.pcen_learn)
@@ -531,64 +545,58 @@ def build_frontend(cfg: RunConfig) -> Frontend:
 
 
 def frontend_forward(fe: Frontend, wave: Waveform):
-    """Returns (values (channels, frames), cache for frontend_backward)."""
-    if fe.kind == "mel":
-        return log_mel_features(wave, fe.mel_config, fe.mel_matrix).values, None
-    if fe.kind == "mel_mvn":
-        fm = log_mel_features(wave, fe.mel_config, fe.mel_matrix)
+    """Returns (values (channels, frames), FrontendCache)."""
+    tdfb_cache = None
+    if fe.tdfb is None:
+        energies = mel_energy_features(wave, fe.mel_config, fe.mel_matrix)
+    else:
+        energies, tdfb_cache = tdfb_forward(wave, fe.tdfb)
+    values, cache = _compress(fe, energies, tdfb_cache)
+    if fe.mvn:
         # Statistics come from the frames wholly inside the signal (at least
         # 2), so the zero padding does not shift or shrink them.
         cfg = fe.mel_config
         n_stat = max(2, 1 + (wave.signal_len - cfg.win_len) // cfg.hop)
-        return mean_variance_normalize(fm, n_stat).values, None
-    if fe.kind == "mel_pcen":
-        energies = mel_energy_features(wave, fe.mel_config, fe.mel_matrix)
-        return _pcen_on_energies(fe, energies)
-    if fe.kind == "tdfb":
-        fm, cache = tdfb_forward(wave, fe.tdfb)
-        return fm.values, ("tdfb", cache)
-    if fe.kind == "tdfb_pcen":
-        fm, tdfb_cache = tdfb_forward(wave, fe.tdfb)
-        out, pcen_cache = pcen_forward(fm, fe.pcen)
-        return out.values, ("tdfb_pcen", tdfb_cache, pcen_cache)
-    raise ConfigError(f"unknown frontend '{fe.kind}'")
+        values = mean_variance_normalize(FeatureMap(values, LOG_MEL), n_stat).values
+    return values, cache
 
 
-def _pcen_on_energies(fe: Frontend, energies: FeatureMap):
-    out, cache = pcen_forward(energies, fe.pcen)
-    return out.values, ("pcen", cache)
+def _compress(fe: Frontend, energies: FeatureMap, tdfb_cache: TdfbCache | None):
+    if fe.pcen is None:
+        return np.log1p(energies.values), FrontendCache(tdfb_cache)
+    out, pcen_cache = pcen_forward(energies, fe.pcen)
+    return out.values, FrontendCache(tdfb_cache, pcen_cache)
 
 
-def _pcen_grads(p: PcenParams, cache, grad_values):
-    grad_energy, g_alpha, g_delta, g_r = pcen_backward(grad_values, cache)
+def frontend_backward(fe: Frontend, grad_values, cache: FrontendCache) -> dict:
+    """Gradients for the frontend's learnable tensors: the compression's
+    backward, then the filterbank's. Empty for the fixed mel frontends."""
     grads = {}
-    if p.learn_alpha:
-        grads["pcen.alpha"] = g_alpha
-    if p.learn_delta:
-        grads["pcen.delta"] = g_delta
-    if p.learn_r:
-        grads["pcen.r"] = g_r
-    return grads, grad_energy
+    if fe.pcen is not None:
+        grad_energy, *pcen_grads = pcen_backward(grad_values, cache.pcen)
+        names = ("pcen.alpha", "pcen.delta", "pcen.r")
+        learned = frontend_tensors(fe)
+        grads = {n: g for n, g in zip(names, pcen_grads) if n in learned}
+    elif fe.tdfb is not None:
+        grad_energy = grad_values / (1.0 + cache.tdfb.pooled)  # d log(1 + x)
+    if fe.tdfb is not None:
+        grads["tdfb.conv_taps"], _ = tdfb_backward(
+            grad_energy, cache.tdfb, need_input_grad=False
+        )
+    return grads
 
 
-def frontend_backward(fe: Frontend, grad_values: np.ndarray, cache) -> dict:
-    """Gradients for the frontend's learnable tensors (empty for fixed
-    frontends)."""
-    if cache is None:
-        return {}
-    tag = cache[0]
-    if tag == "pcen":
-        grads, _ = _pcen_grads(fe.pcen, cache[1], grad_values)
-        return grads
-    if tag == "tdfb":
-        grad_taps, _ = tdfb_backward(grad_values, cache[1], need_input_grad=False)
-        return {"tdfb.conv_taps": grad_taps}
-    if tag == "tdfb_pcen":
-        grads, grad_energy = _pcen_grads(fe.pcen, cache[2], grad_values)
-        grad_taps, _ = tdfb_backward(grad_energy, cache[1], need_input_grad=False)
-        grads["tdfb.conv_taps"] = grad_taps
-        return grads
-    raise ValueError(f"unknown frontend cache tag '{tag}'")
+def frontend_tensors(fe: Frontend, frozen: bool = False) -> dict[str, np.ndarray]:
+    """The frontend's learnable tensors by name; frozen adds the PCEN
+    parameters that are not learned, which checkpoints also store."""
+    tensors = {}
+    if fe.tdfb is not None:
+        tensors["tdfb.conv_taps"] = fe.tdfb.conv_taps
+    if fe.pcen is not None:
+        for name in ("alpha", "delta", "r"):
+            if frozen or getattr(fe.pcen, "learn_" + name):
+                tensors["pcen." + name] = getattr(fe.pcen, name)
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -605,31 +613,10 @@ class TrainState:
     rng: np.random.Generator
 
 
-def learnable_tensors(fe: Frontend, model: ModelParams) -> dict[str, np.ndarray]:
-    tensors = dict(model.tensors())
-    if fe.tdfb is not None:
-        tensors["tdfb.conv_taps"] = fe.tdfb.conv_taps
-    if fe.pcen is not None:
-        if fe.pcen.learn_alpha:
-            tensors["pcen.alpha"] = fe.pcen.alpha
-        if fe.pcen.learn_delta:
-            tensors["pcen.delta"] = fe.pcen.delta
-        if fe.pcen.learn_r:
-            tensors["pcen.r"] = fe.pcen.r
-    return tensors
-
-
 def checkpoint_tensors(state: TrainState) -> dict[str, np.ndarray]:
     """Every tensor a checkpoint stores: model weights, all frontend
     parameters (frozen ones included), and optimizer velocities."""
-    tensors = dict(state.model.tensors())
-    fe = state.frontend
-    if fe.tdfb is not None:
-        tensors["tdfb.conv_taps"] = fe.tdfb.conv_taps
-    if fe.pcen is not None:
-        tensors["pcen.alpha"] = fe.pcen.alpha
-        tensors["pcen.delta"] = fe.pcen.delta
-        tensors["pcen.r"] = fe.pcen.r
+    tensors = {**state.model.tensors(), **frontend_tensors(state.frontend, frozen=True)}
     for name, vel in state.opt.velocities.items():
         tensors["vel." + name] = vel
     return tensors
@@ -641,7 +628,7 @@ def make_train_state(cfg: RunConfig) -> TrainState:
     model = init_model_params(
         rng, cfg.n_filters, cfg.hidden_size, cfg.attn_size, cfg.n_labels
     )
-    tensors = learnable_tensors(frontend, model)
+    tensors = {**model.tensors(), **frontend_tensors(frontend)}
     opt = init_optimizer(tensors, cfg.momentum, cfg.learning_rate)
     return TrainState(cfg, frontend, model, tensors, opt, rng)
 
@@ -653,30 +640,29 @@ def prepare_waveform(w: Waveform, cfg: RunConfig) -> Waveform:
 
 
 def make_feature_provider(state: TrainState):
-    """Frontend forward with the fixed part cached by utterance key.
-
-    Mel features (and the pre-compression energies feeding PCEN) never change
-    during training, so they are computed once per utterance; learnable parts
-    are recomputed on every call.
-    """
+    """provider(utt) returns frontend_forward's (values, cache) for the
+    utterance, keeping the output of the frontend's fixed part per utterance
+    id: the finished features of mel and mel_mvn, the mel energies of
+    mel_pcen, and the prepared waveform of tdfb and tdfb_pcen. The learnable
+    part runs on every call."""
+    fe = state.frontend
+    cfg = state.config
     fixed: dict = {}
 
-    def provider(key: str, wave: Waveform):
-        kind = state.config.frontend
-        if kind in ("tdfb", "tdfb_pcen"):
-            return frontend_forward(state.frontend, wave)
-        cached = fixed.get(key)
-        if kind in ("mel", "mel_mvn"):
-            if cached is None:
-                cached = frontend_forward(state.frontend, wave)[0]
-                fixed[key] = cached
-            return cached, None
-        if cached is None:  # mel_pcen: energies fixed, normalization is not
-            cached = mel_energy_features(
-                wave, state.frontend.mel_config, state.frontend.mel_matrix
-            )
-            fixed[key] = cached
-        return _pcen_on_energies(state.frontend, cached)
+    def provider(utt: Utterance):
+        held = fixed.get(utt.utt_id)
+        if held is None:
+            held = prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
+            if fe.tdfb is None and fe.pcen is None:
+                held = frontend_forward(fe, held)[0]
+            elif fe.tdfb is None:
+                held = mel_energy_features(held, fe.mel_config, fe.mel_matrix)
+            fixed[utt.utt_id] = held
+        if fe.tdfb is not None:
+            return frontend_forward(fe, held)
+        if fe.pcen is not None:
+            return _compress(fe, held, None)
+        return held, FrontendCache()
 
     return provider
 
@@ -802,7 +788,43 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     write_atomic(path, head + arrays)
 
 
+def _tensor_entries(path, header, n_payload: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of each tensor a checkpoint header lists, once the
+    header has the schema save_checkpoint writes and its tensors fill the
+    n_payload bytes after it exactly; ConfigError naming the file if not."""
+
+    def invalid(what):
+        return ConfigError(f"{path}: invalid checkpoint header: {what}")
+
+    if not isinstance(header, dict):
+        raise invalid("not a JSON object")
+    meta, listed = header.get("meta"), header.get("tensors")
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise invalid("'meta.config' is not an object")
+    if not isinstance(listed, list):
+        raise invalid("'tensors' is not a list")
+    entries: dict[str, tuple] = {}
+    for i, entry in enumerate(listed):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name in entries:
+            raise invalid(f"tensor {i} has a missing or repeated name")
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise invalid(f"tensor '{name}' has shape {shape!r}, not a list of sizes")
+        entries[name] = tuple(shape)
+    n_bytes = sum(8 * math.prod(shape) for shape in entries.values())
+    if n_bytes != n_payload:
+        raise invalid(f"its tensors take {n_bytes} bytes but {n_payload} follow it")
+    return list(entries.items())
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Tensors and meta of a checkpoint written by save_checkpoint. A file
+    that breaks the format, its header schema included, raises ConfigError
+    naming it; nothing is read past a length before it is checked against
+    the file size."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -813,15 +835,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         version, header_len = struct.unpack("<IQ", fixed)
         if version != _CKPT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode())
+        n_rest = os.fstat(fh.fileno()).st_size - 16
+        if header_len > n_rest:
+            raise ConfigError(
+                f"{path}: header length {header_len} exceeds the {n_rest} bytes left"
+            )
+        try:
+            header = json.loads(fh.read(header_len).decode())
+        except ValueError as e:
+            raise ConfigError(f"{path}: checkpoint header is not JSON: {e}") from e
         tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blob = fh.read(8 * count)
-            if len(blob) != 8 * count:
-                raise OSError(f"truncated checkpoint payload in {path}")
-            tensors[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+        for name, shape in _tensor_entries(path, header, n_rest - header_len):
+            blob = fh.read(8 * math.prod(shape))
+            tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
     return tensors, header["meta"]
 
 
@@ -880,26 +906,10 @@ def train_run(
     state = make_train_state(cfg)
     label_to_idx = {label: i for i, label in enumerate(LABELS)}
 
-    waves: dict[str, Waveform] = {}
-
-    def wave_of(utt: Utterance) -> Waveform:
-        w = waves.get(utt.utt_id)
-        if w is None:
-            w = prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
-            waves[utt.utt_id] = w
-        return w
-
     provider = make_feature_provider(state)
 
-    def frontend_out(utt: Utterance):
-        return provider(utt.utt_id, wave_of(utt))
-
-    def eval_features(utt: Utterance):
-        values, _ = frontend_out(utt)
-        return values
-
     def valid_uar() -> float:
-        logits = batched_logits(state.model, valid_utts, eval_features)
+        logits = batched_logits(state.model, valid_utts, lambda u: provider(u)[0])
         preds = [LABELS[i] for i in np.argmax(logits, axis=1)]
         return uar(preds, [u.label for u in valid_utts])
 
@@ -914,7 +924,7 @@ def train_run(
         for idx in order:
             utt = train_utts[idx]
             loss = step_utterance(
-                state, None, label_to_idx[utt.label], frontend_out=frontend_out(utt)
+                state, None, label_to_idx[utt.label], frontend_out=provider(utt)
             )
             losses.append(loss)
         epoch_uar = valid_uar()
@@ -954,6 +964,45 @@ def train_run(
         checkpoint_path=str(checkpoint_path),
         state=state,
     )
+
+
+@dataclass
+class OverfitResult:
+    initial: float  # mean loss over the subset before training
+    final: float  # mean loss after the last epoch run
+    epochs: int
+    state: TrainState
+
+
+def overfit_check(manifest: Manifest, cfg: RunConfig) -> OverfitResult:
+    """Train on the first 5 train utterances of each label, for at most
+    cfg.epochs epochs, until their mean loss falls below a tenth of its
+    initial value."""
+    train = manifest.split("train")
+    subset = []
+    for label in LABELS:
+        subset += [u for u in train if u.label == label][:5]
+    if len(subset) < 5 * len(LABELS):
+        raise ValidationError("the overfit check needs 5 train utterances per label")
+    state = make_train_state(cfg)
+    provider = make_feature_provider(state)
+
+    def mean_loss() -> float:
+        losses = []
+        for u in subset:
+            logits, _, _ = classifier_forward(provider(u)[0], state.model)
+            losses.append(cross_entropy_loss(logits, LABELS.index(u.label))[0])
+        return float(np.mean(losses))
+
+    initial = current = mean_loss()
+    epochs = 0
+    while epochs < cfg.epochs and not current < 0.1 * initial:
+        epochs += 1
+        for k in state.rng.permutation(len(subset)):
+            u = subset[k]
+            step_utterance(state, None, LABELS.index(u.label), frontend_out=provider(u))
+        current = mean_loss()
+    return OverfitResult(initial, current, epochs, state)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,19 +1082,11 @@ def _check_pcen(seed: int) -> list[GradcheckRow]:
     return rows
 
 
-def _toy_tdfb_params(rng, apply_log: bool = True) -> TdfbParams:
-    matrix = mel_filterbank_matrix(2, 64, 16000, 0.0, 8000.0)
-    p = init_tdfb_params(
-        matrix, kernel_width=9, lowpass_width=16, lowpass_stride=4,
-        apply_log=apply_log,
-    )
-    p.conv_taps += 0.05 * rng.standard_normal(p.conv_taps.shape)
-    return p
-
-
 def _check_tdfb(seed: int) -> list[GradcheckRow]:
     rng = np.random.default_rng(seed)
-    p = _toy_tdfb_params(rng)
+    matrix = mel_filterbank_matrix(2, 64, 16000, 0.0, 8000.0)
+    p = init_tdfb_params(matrix, kernel_width=9, lowpass_width=16, lowpass_stride=4)
+    p.conv_taps += 0.05 * rng.standard_normal(p.conv_taps.shape)
     samples = rng.standard_normal(64)
     n_frames = (64 - p.lowpass_width) // p.lowpass_stride + 1
     probe = rng.standard_normal((p.n_filters, n_frames))
@@ -1059,6 +1100,34 @@ def _check_tdfb(seed: int) -> list[GradcheckRow]:
     analytic = {"conv_taps": grad_taps, "waveform": grad_wave}
     targets = {"conv_taps": p.conv_taps, "waveform": samples}
     return _rows_for("tdfb", loss_fn, analytic, targets, 1e-5)
+
+
+def _check_frontend(seed: int) -> list[GradcheckRow]:
+    # frontend_backward against frontend_forward for every frontend with
+    # learnable tensors, with jittered taps and PCEN parameters.
+    rows = []
+    for kind in ("mel_pcen", "tdfb", "tdfb_pcen"):
+        rng = np.random.default_rng(seed)
+        fe = build_frontend(
+            make_run_config(kind, n_filters=2, win_len=9, hop=4, n_fft=64)
+        )
+        if fe.tdfb is not None:
+            fe.tdfb.conv_taps += 0.05 * rng.standard_normal(fe.tdfb.conv_taps.shape)
+        if fe.pcen is not None:
+            fe.pcen.alpha += rng.normal(0.0, 0.05, 2)
+            fe.pcen.delta += rng.uniform(-0.3, 0.5, 2)
+            fe.pcen.r += rng.normal(0.0, 0.08, 2)
+        wave = Waveform(rng.standard_normal(64), 16000)
+        values, cache = frontend_forward(fe, wave)
+        probe = rng.standard_normal(values.shape)
+
+        def loss_fn():
+            return float((frontend_forward(fe, wave)[0] * probe).sum())
+
+        analytic = frontend_backward(fe, probe, cache)
+        op = f"frontend[{kind}]"
+        rows.extend(_rows_for(op, loss_fn, analytic, frontend_tensors(fe), 1e-5))
+    return rows
 
 
 def _check_lstm(seed: int) -> list[GradcheckRow]:
@@ -1129,13 +1198,14 @@ def _check_selftest_broken(seed: int) -> list[GradcheckRow]:
 GRADCHECK_OPS = {
     "pcen": _check_pcen,
     "tdfb": _check_tdfb,
+    "frontend": _check_frontend,
     "lstm": _check_lstm,
     "e2e": _check_e2e,
     "selftest-broken": _check_selftest_broken,
 }
 
 # "all" runs the real operators; the broken self-test is opt-in.
-GRADCHECK_ALL = ("pcen", "tdfb", "lstm", "e2e")
+GRADCHECK_ALL = ("pcen", "tdfb", "frontend", "lstm", "e2e")
 
 
 def run_gradcheck(op: str = "all", seed: int = 0) -> list[GradcheckRow]:

@@ -2,10 +2,12 @@
 
 Layer stack: complex 1-D convolution (1 -> 2N channels, stride 1, "same"
 zero padding), modulus and square fused as real^2 + imag^2 (2N -> N), fixed
-squared-Hann lowpass convolution with decimation (valid, stride = hop),
-optional log(1 + x). The first convolution's taps are initialized as Gabor
-wavelets matching the mel triangles and carry analytic gradients; the
-lowpass never receives gradient.
+squared-Hann lowpass convolution with decimation (valid, stride = hop). The
+output is pre-compression energy; the log or PCEN that follows is the
+frontend's compression stage (net.frontend_forward). The first
+convolution's taps are initialized as Gabor wavelets matching the mel
+triangles and carry analytic gradients; the lowpass never receives
+gradient.
 
 The convolution and both of its gradients run by overlap-save on np.fft,
 with each filter's real and imaginary taps as one complex sequence and
@@ -22,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .dsp import Waveform, squared_hanning_window
 from .melfb import (
     PRE_COMPRESSION_ENERGY,
-    TDFB_OUT,
     FeatureMap,
     MelFilterbankMatrix,
     mel_filterbank_matrix,
@@ -45,7 +46,6 @@ class TdfbParams:
     conv_taps: np.ndarray  # (2 * n_filters, kernel_width); rows 2n real, 2n+1 imag
     lowpass_taps: np.ndarray  # fixed L1-normalized squared Hann, never trained
     lowpass_stride: int
-    apply_log: bool
     sample_rate: int
 
     @property
@@ -68,7 +68,7 @@ class TdfbCache:
     params: TdfbParams
     spectra: np.ndarray  # (n_blocks, block): DFT of each overlap-save input block
     conv: np.ndarray  # (n_filters, n_samples) complex: real + 1j * imag output
-    pooled: np.ndarray  # (n_filters, n_frames), pre-log
+    pooled: np.ndarray  # (n_filters, n_frames), the output energies
 
 
 def gabor_params_from_mel(melfb: MelFilterbankMatrix) -> GaborParams:
@@ -106,7 +106,6 @@ def init_tdfb_params(
     kernel_width: int = 400,
     lowpass_width: int = 400,
     lowpass_stride: int = 160,
-    apply_log: bool = True,
 ) -> TdfbParams:
     gabor = gabor_params_from_mel(melfb)
     n = melfb.n_filters
@@ -129,7 +128,6 @@ def init_tdfb_params(
         conv_taps=taps,
         lowpass_taps=lp,
         lowpass_stride=lowpass_stride,
-        apply_log=apply_log,
         sample_rate=melfb.sample_rate,
     )
 
@@ -165,8 +163,8 @@ def _complex_taps(p: TdfbParams) -> np.ndarray:
 def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     """Run the layer stack on one waveform.
 
-    Returns the feature map (n_filters, n_frames) and the cache needed by
-    tdfb_backward. n_frames = (len(w) - lowpass_width) // lowpass_stride + 1.
+    Returns the pre-compression energies (n_filters, n_frames) and the cache
+    needed by tdfb_backward. n_frames = (len(w) - lowpass_width) // lowpass_stride + 1.
     """
     x = w.samples
     n = x.size
@@ -203,10 +201,8 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
         np.square(c.real, out=e[:, :n])  # modulus then square, fused
         e[:, :n] += c.imag**2
         pooled[fs] = _lowpass(e, slots, n_frames)
-    out = np.log1p(pooled) if p.apply_log else pooled
-    role = TDFB_OUT if p.apply_log else PRE_COMPRESSION_ENERGY
     cache = TdfbCache(params=p, spectra=spectra, conv=conv, pooled=pooled)
-    return FeatureMap(out, role), cache
+    return FeatureMap(pooled, PRE_COMPRESSION_ENERGY), cache
 
 
 def tdfb_backward(
@@ -220,8 +216,6 @@ def tdfb_backward(
         raise ValueError(
             f"grad shape {g.shape} does not match forward output {cache.pooled.shape}"
         )
-    if p.apply_log:
-        g = g / (1.0 + cache.pooled)
     g = 2.0 * g  # d(energy)/d(conv) = 2 conv, for the real and the imaginary part
     n = cache.conv.shape[1]
     k = p.kernel_width

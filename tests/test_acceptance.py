@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from wavefront import net
-from wavefront.data import LABELS, read_wav, uar
+from wavefront.data import LABELS, uar
 from wavefront.dsp import Waveform
 from wavefront.melfb import FeatureMap, MelConfig, log_mel_features, mel_filterbank_matrix
 from wavefront.pcen import PcenParams, init_pcen_params, pcen_forward, smoother
@@ -84,7 +84,7 @@ def test_init_fidelity():
     for seed in range(400, 410):
         wave = Waveform(fidelity_clip(seed), 16000)
         mel_maps.append(log_mel_features(wave, cfg, matrix).values)
-        td_maps.append(tdfb_forward(wave, params)[0].values)
+        td_maps.append(np.log1p(tdfb_forward(wave, params)[0].values))
     mel = np.concatenate(mel_maps, axis=1)
     td = np.concatenate(td_maps, axis=1)
     corrs = np.array([np.corrcoef(mel[ch], td[ch])[0, 1] for ch in range(64)])
@@ -222,58 +222,27 @@ def test_trained_filter_scale_keeps_band_density(experiment):
 @pytest.fixture(scope="session")
 def overfit_results(small_corpus):
     manifest, _ = small_corpus
-    train = manifest.split("train")
-    subset = [u for u in train if u.label == "control"][:5]
-    subset += [u for u in train if u.label == "dysarthric"][:5]
-    results = {}
-    for frontend in net.FRONTENDS:
-        cfg = net.make_run_config(frontend, seed=0, epochs=50)
-        state = net.make_train_state(cfg)
-        waves = {
-            u.utt_id: net.prepare_waveform(read_wav(u.path), cfg) for u in subset
-        }
-        labels = {u.utt_id: LABELS.index(u.label) for u in subset}
-        ids = [u.utt_id for u in subset]
-
-        def mean_loss():
-            return float(
-                np.mean(
-                    [net.utterance_loss(state, waves[i], labels[i]) for i in ids]
-                )
-            )
-
-        initial = mean_loss()
-        current = initial
-        epochs_used = 0
-        for epoch in range(1, 51):
-            for k in state.rng.permutation(len(ids)):
-                net.step_utterance(state, waves[ids[k]], labels[ids[k]])
-            current = mean_loss()
-            epochs_used = epoch
-            if current < 0.1 * initial:
-                break
-        results[frontend] = {
-            "initial": initial,
-            "final": current,
-            "epochs": epochs_used,
-            "state": state,
-        }
-    return results
+    return {
+        frontend: net.overfit_check(
+            manifest, net.make_run_config(frontend, seed=0, epochs=50)
+        )
+        for frontend in net.FRONTENDS
+    }
 
 
 def test_overfit_every_frontend(overfit_results):
     details = []
     for frontend, r in overfit_results.items():
-        assert r["final"] < 0.1 * r["initial"], (
-            f"{frontend}: {r['final']:.4f} vs initial {r['initial']:.4f} "
-            f"after {r['epochs']} epochs"
+        assert r.final < 0.1 * r.initial, (
+            f"{frontend}: {r.final:.4f} vs initial {r.initial:.4f} "
+            f"after {r.epochs} epochs"
         )
-        details.append(f"{frontend} {r['epochs']}ep")
+        details.append(f"{frontend} {r.epochs}ep")
     print(f"\nACCEPTANCE overfit-check: PASS ({', '.join(details)})")
 
 
 def test_trained_pcen_compression_varies(overfit_results):
-    r_values = np.abs(overfit_results["mel_pcen"]["state"].frontend.pcen.r)
+    r_values = np.abs(overfit_results["mel_pcen"].state.frontend.pcen.r)
     assert float(np.var(r_values)) > 1e-6
     print(
         f"\ntrained per-channel compression exponents vary "

@@ -1,6 +1,8 @@
 """Command-line surface: flags, exit codes, and artifact formats."""
 
+import dataclasses
 import json
+import struct
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from wavefront import cli, net
-from wavefront.data import Waveform, load_manifest, write_wav
+from wavefront.data import Manifest, Waveform, load_manifest, save_manifest, write_wav
 
 
 def run_cli(args):
@@ -302,6 +304,65 @@ class TestInspectCommand:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no tensors", "no meta", "no meta.config", "no tensor name",
+         "no tensor shape", "shape ab", "shape -1", "repeated name", "not JSON",
+         "header_len past EOF", "trailing bytes"],
+    )
+    def test_malformed_header_is_config_error(
+        self, init_checkpoint, tmp_path, capsys, case
+    ):
+        blob = init_checkpoint.read_bytes()
+        (n,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + n])
+        payload = blob[16 + n :]
+        entry = header["tensors"][0]
+        mutate = {
+            "no tensors": lambda: header.pop("tensors"),
+            "no meta": lambda: header.pop("meta"),
+            "no meta.config": lambda: header["meta"].pop("config"),
+            "no tensor name": lambda: entry.pop("name"),
+            "no tensor shape": lambda: entry.pop("shape"),
+            "shape ab": lambda: entry.update(shape="ab"),
+            "shape -1": lambda: entry.update(shape=[-1]),
+            "repeated name": lambda: entry.update(name=header["tensors"][1]["name"]),
+        }
+        if case in mutate:
+            mutate[case]()
+        text = json.dumps(header).encode()
+        if case == "not JSON":
+            text = text[:-1]
+        if case == "trailing bytes":
+            payload += bytes(8)
+        n = len(text) + (10**12 if case == "header_len past EOF" else 0)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", n) + text + payload)
+        code = run_cli(
+            ["inspect", "--checkpoint", str(bad), "--out-dir", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(bad) in err
+
+
+class TestManifestErrors:
+    def test_duplicate_id_names_both_lines(self, small_corpus, tmp_path, capsys):
+        manifest, _ = small_corpus
+        first, second, *rest = manifest.records
+        records = [first, dataclasses.replace(second, utt_id=first.utt_id), *rest]
+        path = tmp_path / "manifest.csv"
+        save_manifest(Manifest(records), path)
+        code = run_cli([
+            "train", "--manifest", str(path), "--frontend", "mel",
+            "--epochs", "1", "--out-dir", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert f"duplicate id '{first.utt_id}' at lines 2 and 3" in err
 
 
 class TestConsoleScript:

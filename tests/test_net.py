@@ -9,7 +9,7 @@ import pytest
 from wavefront import net
 from wavefront.data import Utterance
 from wavefront.dsp import Waveform
-from wavefront.errors import ConfigError, NumericError
+from wavefront.errors import ConfigError, NumericError, ValidationError
 from wavefront.net import (
     attention_forward,
     classifier_forward,
@@ -289,6 +289,42 @@ class TestEndToEnd:
             assert values.shape == (64, 248), frontend
 
 
+class TestFeatureProvider:
+    @pytest.mark.parametrize("frontend", net.FRONTENDS)
+    def test_matches_frontend_forward_and_reads_once(
+        self, small_corpus, monkeypatch, frontend
+    ):
+        manifest, _ = small_corpus
+        utt = manifest.split("train")[0]
+        state = make_train_state(make_run_config(frontend, seed=2))
+        wave = net.prepare_waveform(net.read_wav(utt.path), state.config)
+        values, cache = net.frontend_forward(state.frontend, wave)
+        probe = np.random.default_rng(3).standard_normal(values.shape)
+        grads = net.frontend_backward(state.frontend, probe, cache)
+        reads = []
+        real_read = net.read_wav
+        monkeypatch.setattr(
+            net, "read_wav", lambda *args: reads.append(args) or real_read(*args)
+        )
+        provider = net.make_feature_provider(state)
+        for _ in range(2):
+            got, got_cache = provider(utt)
+            assert np.array_equal(got, values)
+            got_grads = net.frontend_backward(state.frontend, probe, got_cache)
+            assert set(got_grads) == set(grads)
+            for name, g in grads.items():
+                assert np.array_equal(got_grads[name], g), name
+        assert len(reads) == 1
+
+    def test_overfit_check_needs_five_per_label(self):
+        utts = [
+            Utterance(f"u{i}", f"/nonexistent/u{i}.wav", label, f"s{i}", "train")
+            for i, label in enumerate(["control"] * 5 + ["dysarthric"] * 4)
+        ]
+        with pytest.raises(ValidationError, match="5 train utterances per label"):
+            net.overfit_check(net.Manifest(utts), make_run_config("mel"))
+
+
 class TestMelMvnPadding:
     @staticmethod
     def mvn_features(raw, clip_seconds):
@@ -327,7 +363,7 @@ class TestGradcheckRegistry:
     def test_thresholds_by_op(self):
         rows = run_gradcheck("all")
         for row in rows:
-            expected = 1e-5 if row.op.startswith(("pcen", "tdfb")) else 1e-4
+            expected = 1e-5 if row.op.startswith(("pcen", "tdfb", "frontend")) else 1e-4
             assert row.threshold == expected
 
     def test_unknown_op(self):

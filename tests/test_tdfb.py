@@ -24,11 +24,10 @@ def params():
     return init_tdfb_params(MATRIX)
 
 
-def toy_params(apply_log=True, jitter_seed=None, n_filters=2, kernel_width=9):
+def toy_params(jitter_seed=None, n_filters=2, kernel_width=9):
     matrix = mel_filterbank_matrix(n_filters, 64, SR, 0.0, 8000.0)
     p = init_tdfb_params(
-        matrix, kernel_width=kernel_width, lowpass_width=16, lowpass_stride=4,
-        apply_log=apply_log,
+        matrix, kernel_width=kernel_width, lowpass_width=16, lowpass_stride=4
     )
     if jitter_seed is not None:
         rng = np.random.default_rng(jitter_seed)
@@ -123,7 +122,7 @@ class TestForward:
         x = np.random.default_rng(0).standard_normal(40000) * 0.05
         fm, _ = tdfb_forward(Waveform(x, SR), params)
         assert fm.values.shape == (64, 248)
-        assert fm.channel_role == "tdfb_out"
+        assert fm.channel_role == "pre_compression_energy"
 
     def test_tone_argmax_matches_mel_reference(self, params):
         x = 0.1 * np.sin(2 * np.pi * 2000.0 * np.arange(40000) / SR)
@@ -135,7 +134,7 @@ class TestForward:
         )
 
     def test_prelog_output_nonnegative(self):
-        p = init_tdfb_params(MATRIX, apply_log=False)
+        p = init_tdfb_params(MATRIX)
         x = np.random.default_rng(1).standard_normal(40000) * 0.1
         fm, _ = tdfb_forward(Waveform(x, SR), p)
         assert fm.channel_role == "pre_compression_energy"
@@ -154,7 +153,7 @@ class TestForward:
         )
 
     def test_amplitude_scaling_squares(self):
-        p = init_tdfb_params(MATRIX, apply_log=False)
+        p = init_tdfb_params(MATRIX)
         x = np.random.default_rng(3).standard_normal(40000) * 0.05
         base, _ = tdfb_forward(Waveform(x, SR), p)
         scaled, _ = tdfb_forward(Waveform(2.0 * x, SR), p)
@@ -165,7 +164,7 @@ class TestForward:
             tdfb_forward(Waveform(np.ones(100), SR), params)
 
     def test_matches_correlate_oracle_at_paper_shapes(self):
-        p = init_tdfb_params(MATRIX, apply_log=False)
+        p = init_tdfb_params(MATRIX)
         rng = np.random.default_rng(4)
         p.conv_taps += 0.01 * rng.standard_normal(p.conv_taps.shape)
         x = 0.1 * rng.standard_normal(40000)
@@ -178,7 +177,7 @@ class TestForward:
     def test_kernel_wider_than_half_block(self):
         # 2100 taps leave a 4096-point block too little room, so it grows to
         # 8192; 20 000 samples then span four blocks.
-        p = toy_params(apply_log=False, jitter_seed=18, n_filters=3, kernel_width=2100)
+        p = toy_params(jitter_seed=18, n_filters=3, kernel_width=2100)
         x = np.random.default_rng(19).standard_normal(20000)
         fm, cache = tdfb_forward(Waveform(x, SR), p)
         assert cache.spectra.shape == (4, 8192)
