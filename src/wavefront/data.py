@@ -68,6 +68,10 @@ def read_wav(path, expected_sample_rate: int = 16000) -> Waveform:
             raw = wf.readframes(n_frames)
     except wave.Error as e:
         raise FormatError(f"not a readable RIFF/WAVE file: {e}") from e
+    except RuntimeError as e:  # wave's chunk reader: a size past its RIFF chunk
+        raise FormatError(
+            "not a readable RIFF/WAVE file: a chunk size runs past the RIFF chunk"
+        ) from e
     except EOFError as e:
         raise OSError(f"truncated WAV file: {path}") from e
     if len(raw) < 2 * n_frames:

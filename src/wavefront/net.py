@@ -99,6 +99,21 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
         raise ConfigError("epochs must be >= 0")
     if cfg.patience < 1:
         raise ConfigError("patience must be >= 1")
+    for name in (
+        "n_filters", "sample_rate", "win_len", "hop", "n_fft", "hidden_size",
+        "attn_size", "n_labels",
+    ):
+        value = getattr(cfg, name)
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    for name in ("clip_seconds", "learning_rate"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    for name in ("momentum", "preemphasis_coeff"):
+        value = getattr(cfg, name)
+        if not 0 <= value < 1:
+            raise ConfigError(f"{name} must lie in [0, 1), got {value!r}")
     return cfg
 
 

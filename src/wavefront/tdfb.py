@@ -11,7 +11,12 @@ gradient.
 
 The convolution and both of its gradients run by overlap-save on np.fft,
 with each filter's real and imaginary taps as one complex sequence and
-CHUNK filters per transform, so temporaries stay a few MB.
+CHUNK filters per transform, so temporaries stay a few MB. Only blocks
+holding signal are transformed: a clip zero-padded to a fixed length ends
+in blocks whose correlation is exactly zero, so the forward pass and both
+gradients stop at the block that holds the last nonzero sample. The
+convolution output is kept in block layout, one zero-initialized buffer
+whose pages past the signal are never written.
 """
 
 from __future__ import annotations
@@ -66,8 +71,11 @@ class TdfbCache:
     """Forward intermediates retained for the backward pass."""
 
     params: TdfbParams
-    spectra: np.ndarray  # (n_blocks, block): DFT of each overlap-save input block
-    conv: np.ndarray  # (n_filters, n_samples) complex: real + 1j * imag output
+    n_samples: int  # input length; conv past it is never read
+    spectra: np.ndarray  # (n_live, block): DFT of each input block holding signal
+    # (n_filters, n_blocks, step) complex, real + 1j * imag output at sample
+    # b * step + s; blocks from n_live on stay exactly zero
+    conv: np.ndarray
     pooled: np.ndarray  # (n_filters, n_frames), the output energies
 
 
@@ -181,27 +189,35 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     # input xp, so its circular correlation with the taps equals the linear
     # one y[t] = sum_j taps[j] xp[t+j] at its first `step` outputs. The
     # correlation's spectrum is DFT(taps)[-f] X[f] = conj(DFT(conj taps)) X.
+    # Outputs past the last nonzero input sample (t > pad_left + last) read
+    # only zeros, so blocks from n_live on are exactly zero and skipped.
+    nonzero = np.flatnonzero(x)
+    n_live = (
+        min(n_blocks, -(-(pad_left + nonzero[-1] + 1) // step)) if nonzero.size else 0
+    )
     xp = np.zeros((n_blocks - 1) * step + block)
     xp[pad_left : pad_left + n] = x
-    spectra = np.fft.fft(sliding_window_view(xp, block)[::step])
+    spectra = np.fft.fft(sliding_window_view(xp, block)[::step][:n_live])
     taps_spec = np.conj(np.fft.fft(np.conj(_complex_taps(p)), block))
     n_frames = (n - k2) // hop + 1
-    conv = np.empty((p.n_filters, n), dtype=np.complex128)
+    conv = np.zeros((p.n_filters, n_blocks, step), dtype=np.complex128)
+    live = min(n, n_live * step)
     pooled = np.empty((p.n_filters, n_frames))
     slots = _lowpass_slots(p.lowpass_taps, hop)
     energy = np.zeros((CHUNK, (n_frames + slots.shape[0]) * hop))
     for f0 in range(0, p.n_filters, CHUNK):
         fs = slice(f0, f0 + CHUNK)
+        # y is named so that it lives until the next chunk's replaces it:
+        # freed at once, the allocator trimmed and refaulted its pages on
+        # every chunk, three times the page faults of this form.
         y = np.fft.ifft(taps_spec[fs, None, :] * spectra)
-        c = conv[fs]
-        for b in range(n_blocks):
-            seg = c[:, b * step : (b + 1) * step]
-            seg[...] = y[:, b, : seg.shape[1]]
+        conv[fs, :n_live] = y[..., :step]
+        c = conv[fs].reshape(-1, n_blocks * step)[:, :live]
         e = energy[: c.shape[0]]
-        np.square(c.real, out=e[:, :n])  # modulus then square, fused
-        e[:, :n] += c.imag**2
+        np.square(c.real, out=e[:, :live])  # modulus then square, fused
+        e[:, :live] += c.imag**2
         pooled[fs] = _lowpass(e, slots, n_frames)
-    cache = TdfbCache(params=p, spectra=spectra, conv=conv, pooled=pooled)
+    cache = TdfbCache(p, n, spectra, conv, pooled)
     return FeatureMap(pooled, PRE_COMPRESSION_ENERGY), cache
 
 
@@ -217,10 +233,10 @@ def tdfb_backward(
             f"grad shape {g.shape} does not match forward output {cache.pooled.shape}"
         )
     g = 2.0 * g  # d(energy)/d(conv) = 2 conv, for the real and the imaginary part
-    n = cache.conv.shape[1]
+    n = cache.n_samples
     k = p.kernel_width
-    n_blocks, block = cache.spectra.shape
-    step = block - k + 1
+    n_live, block = cache.spectra.shape
+    n_blocks, step = cache.conv.shape[1:]
     spectra_conj = np.conj(cache.spectra)
     taps_spec = None
     if need_input_grad:
@@ -228,20 +244,18 @@ def tdfb_backward(
     dx_spec = np.zeros_like(cache.spectra)
     grad_taps = np.empty_like(p.conv_taps)
     slots = _lowpass_slots(p.lowpass_taps, p.lowpass_stride)
-    # d in blocks of `step` samples; the last k - 1 columns of each stay 0.
-    d = np.zeros((CHUNK, n_blocks, block), dtype=np.complex128)
+    # d over the live blocks only, since conv is zero past them; d_energy
+    # stays 0 from the end of the input on, and so do the last k - 1
+    # columns of each block of d.
+    live = min(n, n_live * step)
+    d_energy = np.zeros((CHUNK, n_live * step))
+    d = np.zeros((CHUNK, n_live, block), dtype=np.complex128)
     for f0 in range(0, p.n_filters, CHUNK):
         fs = slice(f0, f0 + CHUNK)
-        c = cache.conv[fs]
+        c = cache.conv[fs, :n_live]
         m = c.shape[0]
-        d_energy = _lowpass_adjoint(g[fs], slots)
-        for b in range(n_blocks):
-            seg = c[:, b * step : (b + 1) * step]
-            np.multiply(
-                seg,
-                d_energy[:, b * step : b * step + seg.shape[1]],
-                out=d[:m, b, : seg.shape[1]],
-            )
+        d_energy[:m, :live] = _lowpass_adjoint(g[fs], slots)[:, :live]
+        np.multiply(c, d_energy[:m].reshape(m, n_live, step), out=d[:m, :, :step])
         d_spec = np.fft.fft(d[:m])
         # Tap gradient: grad[j] = sum_t d[t] xp[t+j] for j < k, block by
         # block; with W = sum_b D_b conj(X_b) and real X this is
@@ -256,11 +270,11 @@ def tdfb_backward(
     if need_input_grad:
         # dxp is Re of the linear convolution of d with conj(taps). A block's
         # result spans `block` samples; its last k - 1 overlap-add onto the
-        # next block.
+        # next block, so it reaches past the live blocks into the padding.
         y = np.fft.ifft(dx_spec).real
         dxp = np.zeros((n_blocks + 1) * step)
-        dxp[: n_blocks * step] = y[:, :step].ravel()
-        dxp[step:].reshape(n_blocks, step)[:, : k - 1] += y[:, step:]
+        dxp[: n_live * step] = y[:, :step].ravel()
+        dxp[step : (n_live + 1) * step].reshape(n_live, step)[:, : k - 1] += y[:, step:]
         pad_left = (k - 1) // 2
         grad_wave = dxp[pad_left : pad_left + n]
     return grad_taps, grad_wave

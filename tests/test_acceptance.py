@@ -22,6 +22,8 @@ from wavefront.melfb import FeatureMap, MelConfig, log_mel_features, mel_filterb
 from wavefront.pcen import PcenParams, init_pcen_params, pcen_forward, smoother
 from wavefront.tdfb import center_frequency_report, init_tdfb_params, tdfb_forward
 
+pytestmark = pytest.mark.acceptance
+
 SINGLE_CORE_ENV = {
     "OMP_NUM_THREADS": "1",
     "OPENBLAS_NUM_THREADS": "1",

@@ -136,6 +136,34 @@ class TestExtractCommand:
         ])
         assert code == 3
 
+    def test_corrupt_fmt_chunk_size(self, zero_wav, tmp_path, capsys):
+        # Bytes 16-19 hold the fmt chunk's size (16: 10 00 00 00). Each new
+        # value ends in a data or format error with one line; a value the
+        # byte already holds leaves the file as it was, and it still reads.
+        original = zero_wav.read_bytes()
+        want = run_cli(["extract", "--wav", str(zero_wav), "--frontend", "mel",
+                        "--out", str(tmp_path / "want.csv")])
+        assert want == 0
+        capsys.readouterr()
+        for offset in range(16, 20):
+            for value in (0x00, 0x03, 0xFF):
+                blob = bytearray(original)
+                blob[offset] = value
+                bad = tmp_path / "bad.wav"
+                bad.write_bytes(blob)
+                out_csv = tmp_path / "got.csv"
+                code = run_cli(["extract", "--wav", str(bad), "--frontend", "mel",
+                                "--out", str(out_csv)])
+                err = capsys.readouterr().err
+                case = f"byte {offset} = {value:#04x}"
+                if blob == original:
+                    assert code == 0, case
+                    assert out_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
+                else:
+                    assert code in (2, 3), case
+                    assert err.count("\n") == 1, case
+                    assert "Traceback" not in err, case
+
     def test_tdfb_extract_tracks_mel_extract_at_init(self, tmp_path):
         # level-varying white noise; the learnable path starts as a replica
         # of the reference, so their exported features correlate per channel
@@ -286,7 +314,9 @@ class TestInspectCommand:
     @pytest.mark.parametrize(
         "change, message",
         [({"dropout": 0.5}, "unknown config keys: dropout"),
-         ({"epochs": -5}, "epochs must be >= 0")],
+         ({"epochs": -5}, "epochs must be >= 0"),
+         ({"hop": 0}, "hop must be a positive integer, got 0"),
+         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0")],
     )
     def test_bad_checkpoint_config_is_config_error(
         self, init_checkpoint, tmp_path, change, message

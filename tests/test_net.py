@@ -241,6 +241,32 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             net.config_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"hop": 0}, "hop must be a positive integer, got 0"),
+            ({"win_len": 0}, "win_len must be a positive integer"),
+            ({"n_filters": 0}, "n_filters must be a positive integer"),
+            ({"n_labels": -2}, "n_labels must be a positive integer"),
+            ({"hop": 160.0}, "hop must be a positive integer, got 160.0"),
+            ({"clip_seconds": -1.0}, "clip_seconds must be finite and > 0"),
+            ({"clip_seconds": float("inf")}, "clip_seconds must be finite and > 0"),
+            ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+            ({"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+            ({"momentum": 1.5}, r"momentum must lie in \[0, 1\), got 1.5"),
+            ({"momentum": 1.0}, r"momentum must lie in \[0, 1\)"),
+            ({"momentum": -0.1}, r"momentum must lie in \[0, 1\)"),
+            ({"preemphasis_coeff": float("nan")}, "preemphasis_coeff must lie in"),
+        ],
+    )
+    def test_out_of_range_values(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            make_run_config("mel", **change)
+
+    def test_range_edges_are_accepted(self):
+        cfg = make_run_config("mel", momentum=0.0, preemphasis_coeff=0.0, hop=1)
+        assert (cfg.momentum, cfg.preemphasis_coeff, cfg.hop) == (0.0, 0.0, 1)
+
     def test_dict_without_frontend(self):
         d = net.config_to_dict(make_run_config("mel"))
         del d["frontend"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavefront import tdfb
-from wavefront.dsp import Waveform
+from wavefront.dsp import Waveform, preemphasis
 from wavefront.melfb import MelConfig, log_mel_features, mel_filterbank_matrix
 from wavefront.tdfb import (
     center_frequency_report,
@@ -114,9 +114,14 @@ class TestGaborImpulseResponse:
 
 class TestForward:
     def test_zero_waveform(self, params):
-        fm, _ = tdfb_forward(Waveform(np.zeros(40000), SR), params)
+        fm, cache = tdfb_forward(Waveform(np.zeros(40000), SR), params)
         assert fm.values.shape == (64, 248)
         assert np.all(fm.values == 0.0)
+        assert cache.spectra.shape[0] == 0  # no block holds signal
+        grad_taps, grad_wave = tdfb_backward(np.ones_like(fm.values), cache)
+        assert grad_taps.shape == params.conv_taps.shape
+        assert np.all(grad_taps == 0) and np.all(grad_wave == 0)
+        assert grad_wave.shape == (40000,)
 
     def test_output_shape(self, params):
         x = np.random.default_rng(0).standard_normal(40000) * 0.05
@@ -321,6 +326,111 @@ class TestBackward:
         _, cache = tdfb_forward(Waveform(x, SR), p)
         with pytest.raises(ValueError):
             tdfb_backward(np.zeros((2, 99)), cache)
+
+
+def padded_clip(seconds, clip_seconds, seed):
+    """A noise clip of `seconds`, zero-padded to `clip_seconds` and
+    pre-emphasised, as net.prepare_waveform makes it."""
+    n = round(seconds * SR)
+    x = np.zeros(round(clip_seconds * SR))
+    x[:n] = 0.1 * np.random.default_rng(seed).standard_normal(n)
+    return preemphasis(Waveform(x, SR, n), 0.97)
+
+
+class TestLiveBlocks:
+    """Only overlap-save blocks that hold signal are transformed."""
+
+    def test_padded_clip_matches_correlate_oracle_on_every_frame(self):
+        p = init_tdfb_params(MATRIX)
+        rng = np.random.default_rng(30)
+        p.conv_taps += 0.01 * rng.standard_normal(p.conv_taps.shape)
+        w = padded_clip(1.3, 2.5, seed=31)
+        fm, cache = tdfb_forward(w, p)
+        assert cache.spectra.shape[0] < cache.conv.shape[1]  # blocks were skipped
+        channels = (0, 7, 8, 42, 63)
+        expected = oracle_energy(w.samples, p, channels)
+        for row, ch in enumerate(channels):
+            assert_rel_close(fm.values[ch], expected[row], 1e-12)
+        # frames wholly inside the padding are exact zeros in both
+        tail = expected[:, -50:]
+        assert np.all(tail == 0) and np.all(fm.values[list(channels), -50:] == 0)
+
+    def test_finite_differences_at_the_last_live_seam(self):
+        # The signal ends inside block 1 of four, so two blocks are live;
+        # the perturbed samples reach into the zero tail, where a nonzero
+        # sample makes a third block live.
+        p = toy_params(jitter_seed=32, n_filters=3)
+        k = p.kernel_width
+        pad_left = (k - 1) // 2
+        step = tdfb.BLOCK - k + 1
+        n = 3 * step + 50
+        last = 2 * step - pad_left - 6  # last nonzero sample
+        x = np.zeros(n)
+        rng = np.random.default_rng(33)
+        x[: last + 1] = rng.standard_normal(last + 1)
+        n_frames = (n - p.lowpass_width) // p.lowpass_stride + 1
+        probe = rng.standard_normal((3, n_frames))
+
+        def loss(sample_vec):
+            fm, _ = tdfb_forward(Waveform(sample_vec, SR), p)
+            return float((fm.values * probe).sum())
+
+        _, cache = tdfb_forward(Waveform(x, SR), p)
+        assert cache.spectra.shape[0] == 2
+        grad_taps, grad_wave = tdfb_backward(probe, cache)
+
+        def assert_matches(analytic, numeric):
+            # Past the taps' reach the gradient is exactly 0 while the
+            # difference quotient is rounding noise of the loss (about 500),
+            # near 1e-8; the 1e-2 floor keeps the check at 1e-7 there.
+            denom = max(abs(analytic), abs(numeric), 1e-2)
+            assert abs(analytic - numeric) / denom < 1e-5
+
+        h = 1e-5
+        for idx in np.ndindex(p.conv_taps.shape):
+            orig = p.conv_taps[idx]
+            p.conv_taps[idx] = orig + h
+            up = loss(x)
+            p.conv_taps[idx] = orig - h
+            down = loss(x)
+            p.conv_taps[idx] = orig
+            assert_matches(grad_taps[idx], (up - down) / (2 * h))
+        seam = 2 * step - pad_left  # first sample read only by block 2
+        samples = list(range(seam - k - 2, seam + k + 2)) + [step - pad_left, n - 1]
+        assert any(x[i] == 0 for i in samples) and any(x[i] != 0 for i in samples)
+        for i in samples:
+            orig = x[i]
+            x[i] = orig + h
+            up = loss(x)
+            x[i] = orig - h
+            down = loss(x)
+            x[i] = orig
+            assert_matches(grad_wave[i], (up - down) / (2 * h))
+        assert np.any(grad_wave[last + 1 :] != 0)  # the gradient reaches the tail
+
+    @pytest.mark.parametrize("offset, live", [(-1, 2), (0, 3), (1, 3)])
+    def test_live_block_count_at_a_block_boundary(self, offset, live):
+        p = toy_params(jitter_seed=34)
+        k = p.kernel_width
+        pad_left = (k - 1) // 2
+        step = tdfb.BLOCK - k + 1
+        x = np.zeros(4 * step + 7)
+        # offset 0 puts the last nonzero sample at the first input of block 2
+        last = 2 * step - pad_left + offset
+        x[: last + 1] = np.random.default_rng(35).standard_normal(last + 1)
+        fm, cache = tdfb_forward(Waveform(x, SR), p)
+        assert cache.spectra.shape[0] == live
+        assert np.any(cache.conv[:, live - 1] != 0)
+        assert np.all(cache.conv[:, live:] == 0)
+        expected = oracle_energy(x, p, range(2))
+        for ch in range(2):
+            assert_rel_close(fm.values[ch], expected[ch], 1e-12)
+
+    def test_longer_padding_leaves_shared_frames_bit_identical(self, params):
+        short, _ = tdfb_forward(padded_clip(1.7, 2.5, seed=36), params)
+        long, _ = tdfb_forward(padded_clip(1.7, 3.0, seed=36), params)
+        assert short.values.shape == (64, 248) and long.values.shape == (64, 298)
+        assert np.array_equal(short.values, long.values[:, :248])
 
 
 class TestCacheMemory:
