@@ -114,6 +114,15 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
         value = getattr(cfg, name)
         if not 0 <= value < 1:
             raise ConfigError(f"{name} must lie in [0, 1), got {value!r}")
+    if cfg.n_fft & (cfg.n_fft - 1) or cfg.n_fft < cfg.win_len:
+        raise ConfigError(
+            f"n_fft must be a power of two >= win_len {cfg.win_len}, got {cfg.n_fft}"
+        )
+    clip_samples = round(cfg.clip_seconds * cfg.sample_rate)
+    if cfg.win_len > clip_samples:
+        raise ConfigError(
+            f"win_len {cfg.win_len} exceeds the clip's {clip_samples} samples"
+        )
     return cfg
 
 
@@ -281,33 +290,40 @@ def lstm_backward(
     grad_hidden: np.ndarray, cache: LstmCache, p: ModelParams
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backprop through time; returns LSTM weight gradients and grad w.r.t.
-    the input sequence."""
+    the input sequence.
+
+    The reversed time loop carries only the recurrence: the hidden-state
+    gradient dh (back through lstm.wh) and the cell gradient dc (back
+    through the forget gate). Every factor that depends on the forward cache
+    alone is computed for all frames before the loop: per gate, the
+    coefficient that turns dc (input, forget and cell gates) or dh (output
+    gate) into its pre-activation gradient; go * (1 - tanh(c)^2), which
+    carries dh into dc; and the next frame's forget gate, which carries dc
+    back one frame. dz_all starts as the gate coefficients and is multiplied
+    in place, row by row, into the pre-activation gradients.
+    """
     n_frames, h = cache.hidden.shape
+    gi, gf, gg, go = cache.gates_i, cache.gates_f, cache.gates_g, cache.gates_o
+    tc = cache.tanh_cells
     dz_all = np.empty((n_frames, 4 * h))
+    coef = dz_all.reshape(n_frames, 4, h)
+    coef[:, 0] = gg * gi * (1.0 - gi)
+    coef[0, 1] = 0.0  # c_{-1} = 0
+    coef[1:, 1] = cache.cells[:-1] * gf[1:] * (1.0 - gf[1:])
+    coef[:, 2] = gi * (1.0 - gg * gg)
+    coef[:, 3] = tc * go * (1.0 - go)
+    dc_from_dh = go * (1.0 - tc * tc)
+    gf_next = np.zeros((n_frames, h))
+    gf_next[:-1] = gf[1:]
     dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
+    dc = np.zeros(h)
     for t in range(n_frames - 1, -1, -1):
         dh = grad_hidden[t] + dh_next
-        tc = cache.tanh_cells[t]
-        do = dh * tc
-        dc = dc_next + dh * cache.gates_o[t] * (1.0 - tc * tc)
-        c_prev = cache.cells[t - 1] if t > 0 else np.zeros(h)
-        di = dc * cache.gates_g[t]
-        dg = dc * cache.gates_i[t]
-        df = dc * c_prev
-        dc_next = dc * cache.gates_f[t]
-        gi, gf, gg, go = (
-            cache.gates_i[t],
-            cache.gates_f[t],
-            cache.gates_g[t],
-            cache.gates_o[t],
-        )
-        dz = dz_all[t]
-        dz[:h] = di * gi * (1.0 - gi)
-        dz[h : 2 * h] = df * gf * (1.0 - gf)
-        dz[2 * h : 3 * h] = dg * (1.0 - gg * gg)
-        dz[3 * h :] = do * go * (1.0 - go)
-        dh_next = p.lstm_wh.T @ dz
+        dc = dc * gf_next[t] + dh * dc_from_dh[t]
+        row = coef[t]
+        np.multiply(row[:3], dc, out=row[:3])
+        row[3] *= dh
+        dh_next = dz_all[t] @ p.lstm_wh
     h_prev_seq = np.vstack([np.zeros((1, h)), cache.hidden[:-1]])
     grads = {
         "lstm.wx": dz_all.T @ cache.x,
@@ -868,9 +884,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 def state_from_checkpoint(path) -> TrainState:
     """Rebuild a TrainState with all tensors (including frozen frontend
-    parameters and optimizer velocities) restored bit-exactly."""
+    parameters and optimizer velocities) restored bit-exactly. A config
+    that no longer matches the header's config_hash, when it has one, raises
+    ConfigError."""
     tensors, meta = load_checkpoint(path)
     cfg = config_from_dict(meta["config"])
+    if "config_hash" in meta and meta["config_hash"] != config_hash(cfg):
+        raise ConfigError(f"{path}: config does not match its config_hash")
     state = make_train_state(cfg)
     targets = checkpoint_tensors(state)
     missing = sorted(set(targets) - set(tensors))

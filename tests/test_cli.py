@@ -1,7 +1,9 @@
 """Command-line surface: flags, exit codes, and artifact formats."""
 
 import dataclasses
+import functools
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -316,7 +318,10 @@ class TestInspectCommand:
         [({"dropout": 0.5}, "unknown config keys: dropout"),
          ({"epochs": -5}, "epochs must be >= 0"),
          ({"hop": 0}, "hop must be a positive integer, got 0"),
-         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0")],
+         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+         # valid values, but not the config the checkpoint was trained with
+         ({"hop": 10**30}, "bad.ckpt: config does not match its config_hash"),
+         ({"clip_seconds": 1e9}, "bad.ckpt: config does not match its config_hash")],
     )
     def test_bad_checkpoint_config_is_config_error(
         self, init_checkpoint, tmp_path, change, message
@@ -376,6 +381,129 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and str(bad) in err
+
+
+@pytest.fixture(scope="module")
+def trained_tdfb_pcen(small_corpus, tmp_path_factory):
+    _, root = small_corpus
+    out = tmp_path_factory.mktemp("tdfb_pcen_run")
+    code = run_cli([
+        "train", "--manifest", str(root / "manifest.csv"),
+        "--frontend", "tdfb_pcen", "--epochs", "1", "--out-dir", str(out),
+    ])
+    assert code == 0
+    return out / "checkpoint.ckpt"
+
+
+# Header fields that nothing reads back: deleting or retyping them still loads.
+UNREAD_FIELDS = (
+    ("version",), ("meta", "epoch"), ("meta", "seed"), ("meta", "frontend"),
+    ("meta", "best_valid_uar"),
+)
+RETYPES = (None, "x", 1.5, -1, [], {}, True, 10**30)
+
+
+def key_paths(node, prefix=()):
+    """Every dict key in a JSON tree, as a path of keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+class TestCheckpointMutations:
+    def test_every_mutation_is_refused_or_a_no_op(
+        self, trained_tdfb_pcen, tmp_path, monkeypatch, capsys
+    ):
+        """Truncations, deleted header keys and retyped header fields of a
+        trained checkpoint, each run through `inspect`: every one exits 2 or
+        3 with one stderr line, or leaves the loaded state unchanged."""
+        blob = trained_tdfb_pcen.read_bytes()
+        (n,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + n])
+        payload = blob[16 + n :]
+        original = net.checkpoint_tensors(net.state_from_checkpoint(trained_tdfb_pcen))
+        config = header["meta"]["config"]
+        # a deleted config key falls back to make_run_config's default
+        defaults = net.config_to_dict(net.make_run_config(config["frontend"]))
+
+        # keep the state that `inspect` loads, to compare it with the original
+        loaded = []
+        load = net.state_from_checkpoint
+
+        def recording_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(net, "state_from_checkpoint", recording_load)
+        # one parser for the ~3600 runs: building it is most of a run's time
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+        path = tmp_path / "mutant.ckpt"
+        out_dir = tmp_path / "out"
+
+        def check(case, no_op):
+            loaded.clear()
+            code = run_cli([
+                "inspect", "--checkpoint", str(path), "--out-dir", str(out_dir),
+                "--what", "pcen",
+            ])
+            err = capsys.readouterr().err
+            if no_op:
+                assert code == 0 and not err, case
+                tensors = net.checkpoint_tensors(loaded[0])
+                assert tensors.keys() == original.keys(), case
+                for name, value in tensors.items():
+                    assert np.array_equal(value, original[name]), (case, name)
+            else:
+                assert code in (2, 3) and err.count("\n") == 1, (case, code, err)
+
+        # Truncations, longest first, by shrinking one file in place.
+        path.write_bytes(blob)
+        check("whole file", no_op=True)
+        cuts = [*range(16 + n), *range(16 + n, len(blob), 997)]
+        for cut in reversed(cuts):
+            os.truncate(path, cut)
+            check(f"cut at {cut}", no_op=False)
+
+        def write(mutated):
+            text = json.dumps(mutated).encode()
+            path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + payload)
+
+        def parent_of(tree, key_path):
+            for key in key_path[:-1]:
+                tree = tree[key]
+            return tree
+
+        for key_path in key_paths(header):
+            mutated = json.loads(json.dumps(header))
+            del parent_of(mutated, key_path)[key_path[-1]]
+            write(mutated)
+            key = key_path[-1]
+            no_op = (
+                key_path in UNREAD_FIELDS
+                or key_path == ("meta", "config_hash")
+                or len(key_path) == 3
+                and key_path[:2] == ("meta", "config")
+                and key != "frontend"
+                and config[key] == defaults[key]
+            )
+            check(f"delete {key_path}", no_op)
+
+        retyped = [
+            *UNREAD_FIELDS,
+            ("meta", "config_hash"),
+            *(("meta", "config", key) for key in config),
+            *(("tensors", i, field)
+              for i in range(len(header["tensors"])) for field in ("name", "shape")),
+        ]
+        for key_path in retyped:
+            for value in RETYPES:
+                mutated = json.loads(json.dumps(header))
+                parent_of(mutated, key_path)[key_path[-1]] = value
+                write(mutated)
+                check(f"{key_path} = {value!r}", no_op=key_path in UNREAD_FIELDS)
 
 
 class TestManifestErrors:

@@ -16,6 +16,7 @@ from wavefront.net import (
     cross_entropy_loss,
     init_model_params,
     init_optimizer,
+    lstm_backward,
     lstm_forward,
     make_run_config,
     make_train_state,
@@ -60,6 +61,64 @@ def scalar_lstm(x, p):
         h, c = new_h, new_c
         outputs.append(list(h))
     return np.array(outputs)
+
+
+def scalar_lstm_backward(x, p, grad_hidden):
+    """Per-element, per-frame BPTT written from the LSTM equations, used as
+    an oracle. Returns the gradients of sum(grad_hidden * h) w.r.t. lstm.wx,
+    lstm.wh, lstm.b and x, and the largest |pre-activation| seen."""
+    n_frames, n_in = x.shape
+    hidden = p.lstm_wh.shape[1]
+    n_z = 4 * hidden
+    h_seq, c_seq, gates, z_max = [[0.0] * hidden], [[0.0] * hidden], [], 0.0
+    for t in range(n_frames):
+        h_prev, c_prev = h_seq[-1], c_seq[-1]
+        z = []
+        for j in range(n_z):
+            acc = p.lstm_b[j]
+            for k in range(n_in):
+                acc += p.lstm_wx[j, k] * x[t, k]
+            for k in range(hidden):
+                acc += p.lstm_wh[j, k] * h_prev[k]
+            z.append(acc)
+        z_max = max(z_max, max(abs(v) for v in z))
+        gi = [scalar_sigmoid(z[k]) for k in range(hidden)]
+        gf = [scalar_sigmoid(z[hidden + k]) for k in range(hidden)]
+        gg = [math.tanh(z[2 * hidden + k]) for k in range(hidden)]
+        go = [scalar_sigmoid(z[3 * hidden + k]) for k in range(hidden)]
+        c = [gf[k] * c_prev[k] + gi[k] * gg[k] for k in range(hidden)]
+        h_seq.append([go[k] * math.tanh(c[k]) for k in range(hidden)])
+        c_seq.append(c)
+        gates.append((gi, gf, gg, go))
+    d_wx = [[0.0] * n_in for _ in range(n_z)]
+    d_wh = [[0.0] * hidden for _ in range(n_z)]
+    d_b = [0.0] * n_z
+    d_x = [[0.0] * n_in for _ in range(n_frames)]
+    dh_next = [0.0] * hidden
+    dc_next = [0.0] * hidden
+    for t in range(n_frames - 1, -1, -1):
+        gi, gf, gg, go = gates[t]
+        c, c_prev, h_prev = c_seq[t + 1], c_seq[t], h_seq[t]
+        dz = [0.0] * n_z
+        for k in range(hidden):
+            dh = grad_hidden[t, k] + dh_next[k]
+            tc = math.tanh(c[k])
+            dc = dc_next[k] + dh * go[k] * (1.0 - tc * tc)
+            dz[k] = dc * gg[k] * gi[k] * (1.0 - gi[k])
+            dz[hidden + k] = dc * c_prev[k] * gf[k] * (1.0 - gf[k])
+            dz[2 * hidden + k] = dc * gi[k] * (1.0 - gg[k] * gg[k])
+            dz[3 * hidden + k] = dh * tc * go[k] * (1.0 - go[k])
+            dc_next[k] = dc * gf[k]
+        for j in range(n_z):
+            d_b[j] += dz[j]
+            for k in range(n_in):
+                d_wx[j][k] += dz[j] * x[t, k]
+                d_x[t][k] += dz[j] * p.lstm_wx[j, k]
+            for k in range(hidden):
+                d_wh[j][k] += dz[j] * h_prev[k]
+        dh_next = [sum(dz[j] * p.lstm_wh[j, k] for j in range(n_z)) for k in range(hidden)]
+    grads = {"lstm.wx": d_wx, "lstm.wh": d_wh, "lstm.b": d_b, "x": d_x}
+    return {k: np.array(v) for k, v in grads.items()}, z_max
 
 
 class TestLstm:
@@ -108,6 +167,40 @@ class TestLstm:
         ez = np.exp(z[~pos])
         ref[~pos] = ez / (1.0 + ez)
         assert np.array_equal(net._sigmoid(z), ref)
+
+
+class TestLstmBackward:
+    @staticmethod
+    def compare(x, p, grad_hidden):
+        _, cache = lstm_forward(x, p)
+        grads, grad_x = lstm_backward(grad_hidden, cache, p)
+        grads["x"] = grad_x
+        ref, z_max = scalar_lstm_backward(x, p, grad_hidden)
+        for name, want in ref.items():
+            # relative to the largest entry; lstm.wh is exactly 0 at 1 frame
+            err = np.abs(grads[name] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (name, err)
+        return z_max
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 7])
+    def test_matches_scalar_bptt(self, n_frames):
+        rng = np.random.default_rng(20 + n_frames)
+        p = init_model_params(rng, 3, 5, 4, 2)
+        p.lstm_b += rng.normal(0.0, 0.5, p.lstm_b.shape)
+        x = rng.standard_normal((n_frames, 3))
+        self.compare(x, p, rng.standard_normal((n_frames, 5)))
+
+    def test_saturated_gates(self):
+        # Units 0-2 have every gate pinned at |z| > 30, where sigmoid is 1.0
+        # or below 1e-13 and tanh is +-1; units 3-5 stay in range.
+        rng = np.random.default_rng(30)
+        hidden = 6
+        p = init_model_params(rng, 3, hidden, 4, 2)
+        sat = (np.arange(4 * hidden) % hidden) < 3
+        p.lstm_b[sat] = 35.0 * rng.choice([-1.0, 1.0], sat.sum())
+        x = rng.standard_normal((7, 3))
+        z_max = self.compare(x, p, rng.standard_normal((7, hidden)))
+        assert z_max > 30.0
 
 
 class TestAttention:
@@ -257,6 +350,9 @@ class TestRunConfig:
             ({"momentum": 1.0}, r"momentum must lie in \[0, 1\)"),
             ({"momentum": -0.1}, r"momentum must lie in \[0, 1\)"),
             ({"preemphasis_coeff": float("nan")}, "preemphasis_coeff must lie in"),
+            ({"n_fft": 500}, "n_fft must be a power of two >= win_len 400, got 500"),
+            ({"n_fft": 256}, "n_fft must be a power of two >= win_len 400, got 256"),
+            ({"clip_seconds": 0.02}, "win_len 400 exceeds the clip's 320 samples"),
         ],
     )
     def test_out_of_range_values(self, change, message):
@@ -266,6 +362,8 @@ class TestRunConfig:
     def test_range_edges_are_accepted(self):
         cfg = make_run_config("mel", momentum=0.0, preemphasis_coeff=0.0, hop=1)
         assert (cfg.momentum, cfg.preemphasis_coeff, cfg.hop) == (0.0, 0.0, 1)
+        cfg = make_run_config("mel", win_len=512, n_fft=512, clip_seconds=0.032)
+        assert (cfg.win_len, cfg.n_fft, cfg.clip_seconds) == (512, 512, 0.032)
 
     def test_dict_without_frontend(self):
         d = net.config_to_dict(make_run_config("mel"))
