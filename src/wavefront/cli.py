@@ -1,6 +1,7 @@
 """Command-line surface: train, eval, extract, inspect, gradcheck, synth.
 
-Exit codes: 0 success, 2 config/usage error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 config/usage error (a config too large to allocate
+included), 3 data error, 4 numeric error.
 All outputs are CSV or JSON; plotting is left to external tools.
 """
 
@@ -29,18 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-# One row per ablation: five frontends, PCEN learnable-parameter subsets.
-ABLATION_CONFIGS = (
-    ("mel", None),
-    ("mel_mvn", None),
-    ("mel_pcen", ("r", "alpha", "delta")),
-    ("tdfb", None),
-    ("tdfb_pcen", ("r", "alpha", "delta")),
-    ("tdfb_pcen", ("r",)),
-    ("tdfb_pcen", ("alpha",)),
-)
-
 
 def _parse_pcen_learn(raw: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in raw.split(",") if p.strip())
@@ -119,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     if args.list_configs:
-        for frontend, mask in ABLATION_CONFIGS:
+        for frontend, mask in net.ABLATION_CONFIGS:
             if mask is None:
                 print(frontend)
             else:
@@ -309,6 +298,11 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:
+        # valid config sizes too large to allocate, e.g. a checkpoint's
+        # clip_seconds
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

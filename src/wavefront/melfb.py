@@ -12,12 +12,6 @@ import numpy as np
 
 from .dsp import Waveform, frame_signal, hanning_window, power_spectrum
 
-# Channel roles carried by feature maps.
-LOG_MEL = "log_mel"
-PRE_COMPRESSION_ENERGY = "pre_compression_energy"
-PCEN_OUT = "pcen_out"
-
-
 @dataclass(frozen=True)
 class MelFilterbankMatrix:
     weights: np.ndarray  # (n_filters, n_fft // 2 + 1), non-negative triangles
@@ -35,7 +29,6 @@ class FeatureMap:
     """A channels-by-frames block of features flowing between stages."""
 
     values: np.ndarray
-    channel_role: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -43,8 +36,6 @@ class FeatureMap:
             raise ValueError("feature map must be 2-D (channels, frames)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature map contains NaN or Inf")
-        if self.channel_role == PRE_COMPRESSION_ENERGY and np.any(self.values < 0):
-            raise ValueError("pre-compression energies must be non-negative")
 
     @property
     def n_channels(self) -> int:
@@ -129,7 +120,7 @@ def mel_energy_features(
     windowed = frame_signal(w, cfg.win_len, cfg.hop) * taps
     spectra = power_spectrum(windowed, cfg.n_fft)
     energies = spectra @ matrix.weights.T
-    return FeatureMap(np.ascontiguousarray(energies.T), PRE_COMPRESSION_ENERGY)
+    return FeatureMap(np.ascontiguousarray(energies.T))
 
 
 def log_mel_features(
@@ -138,7 +129,7 @@ def log_mel_features(
     """log(1 + mel energy); the add-1 keeps zero input at exactly zero output
     and matches the compression used by the learnable path."""
     energies = mel_energy_features(w, cfg, matrix)
-    return FeatureMap(np.log1p(energies.values), LOG_MEL)
+    return FeatureMap(np.log1p(energies.values))
 
 
 def mean_variance_normalize(
@@ -166,4 +157,4 @@ def mean_variance_normalize(
     std = stats.std(axis=1, keepdims=True)
     degenerate = std < 1e-8
     out = (v - mean) / np.where(degenerate, 1.0, std)
-    return FeatureMap(out, fm.channel_role)
+    return FeatureMap(out)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .melfb import PCEN_OUT, PRE_COMPRESSION_ENERGY, FeatureMap
+from .melfb import FeatureMap
 
 
 @dataclass
@@ -98,19 +98,14 @@ def _smooth(values: np.ndarray, s: float) -> np.ndarray:
 
 def smoother(energies: FeatureMap, s: float) -> FeatureMap:
     """Causal moving average M(t) = (1-s) M(t-1) + s E(t), M(0) = E(0)."""
-    return FeatureMap(_smooth(energies.values, s), energies.channel_role)
+    return FeatureMap(_smooth(energies.values, s))
 
 
 def pcen_forward(
     energies: FeatureMap, p: PcenParams
 ) -> tuple[FeatureMap, PcenCache]:
     """Apply the normalization elementwise; returns the output map and the
-    cache needed by pcen_backward."""
-    if energies.channel_role != PRE_COMPRESSION_ENERGY:
-        raise ValueError(
-            f"PCEN consumes pre-compression energies, got role "
-            f"'{energies.channel_role}'"
-        )
+    cache needed by pcen_backward. The energies must be non-negative."""
     v = energies.values
     if v.shape[0] != p.n_channels:
         raise ValueError(
@@ -127,7 +122,7 @@ def pcen_forward(
         ch, fr = np.argwhere(~np.isfinite(out))[0]
         raise NumericError(f"non-finite PCEN output at channel {ch}, frame {fr}")
     cache = PcenCache(p, v, m, denom, gain, base, r_eff, delta_eff)
-    return FeatureMap(out, PCEN_OUT), cache
+    return FeatureMap(out), cache
 
 
 def pcen_backward(

@@ -9,14 +9,15 @@ convolution's taps are initialized as Gabor wavelets matching the mel
 triangles and carry analytic gradients; the lowpass never receives
 gradient.
 
-The convolution and both of its gradients run by overlap-save on np.fft,
-with each filter's real and imaginary taps as one complex sequence and
-CHUNK filters per transform, so temporaries stay a few MB. Only blocks
-holding signal are transformed: a clip zero-padded to a fixed length ends
-in blocks whose correlation is exactly zero, so the forward pass and both
-gradients stop at the block that holds the last nonzero sample. The
-convolution output is kept in block layout, one zero-initialized buffer
-whose pages past the signal are never written.
+The convolution and its tap gradient run by overlap-save on np.fft, with
+each filter's real and imaginary taps as one complex sequence and CHUNK
+filters per transform, so temporaries stay a few MB. No gradient flows to
+the waveform: nothing upstream of it learns. Only blocks holding signal
+are transformed: a clip zero-padded to a fixed length ends in blocks whose
+correlation is exactly zero, so the forward pass and the gradient stop at
+the block that holds the last nonzero sample. The convolution output is
+kept in block layout, one zero-initialized buffer whose pages past the
+signal are never written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import Waveform, squared_hanning_window
 from .melfb import (
-    PRE_COMPRESSION_ENERGY,
     FeatureMap,
     MelFilterbankMatrix,
     mel_filterbank_matrix,
@@ -218,14 +218,12 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
         e[:, :live] += c.imag**2
         pooled[fs] = _lowpass(e, slots, n_frames)
     cache = TdfbCache(p, n, spectra, conv, pooled)
-    return FeatureMap(pooled, PRE_COMPRESSION_ENERGY), cache
+    return FeatureMap(pooled), cache
 
 
-def tdfb_backward(
-    grad_out: np.ndarray, cache: TdfbCache, need_input_grad: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact gradients of a scalar loss w.r.t. the conv taps and (optionally)
-    the input waveform. The lowpass taps are fixed and receive none."""
+def tdfb_backward(grad_out: np.ndarray, cache: TdfbCache) -> np.ndarray:
+    """Exact gradient of a scalar loss w.r.t. the conv taps. The lowpass
+    taps are fixed and receive none."""
     p = cache.params
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.pooled.shape:
@@ -236,12 +234,8 @@ def tdfb_backward(
     n = cache.n_samples
     k = p.kernel_width
     n_live, block = cache.spectra.shape
-    n_blocks, step = cache.conv.shape[1:]
+    step = cache.conv.shape[2]
     spectra_conj = np.conj(cache.spectra)
-    taps_spec = None
-    if need_input_grad:
-        taps_spec = np.fft.fft(np.conj(_complex_taps(p)), block)
-    dx_spec = np.zeros_like(cache.spectra)
     grad_taps = np.empty_like(p.conv_taps)
     slots = _lowpass_slots(p.lowpass_taps, p.lowpass_stride)
     # d over the live blocks only, since conv is zero past them; d_energy
@@ -264,20 +258,7 @@ def tdfb_backward(
         grad = np.fft.fft(corr)[:, :k] / block
         grad_taps[2 * f0 : 2 * (f0 + m) : 2] = grad.real
         grad_taps[2 * f0 + 1 : 2 * (f0 + m) : 2] = grad.imag
-        if need_input_grad:
-            dx_spec += np.einsum("rbf,rf->bf", d_spec, taps_spec[fs])
-    grad_wave = None
-    if need_input_grad:
-        # dxp is Re of the linear convolution of d with conj(taps). A block's
-        # result spans `block` samples; its last k - 1 overlap-add onto the
-        # next block, so it reaches past the live blocks into the padding.
-        y = np.fft.ifft(dx_spec).real
-        dxp = np.zeros((n_blocks + 1) * step)
-        dxp[: n_live * step] = y[:, :step].ravel()
-        dxp[step : (n_live + 1) * step].reshape(n_live, step)[:, : k - 1] += y[:, step:]
-        pad_left = (k - 1) // 2
-        grad_wave = dxp[pad_left : pad_left + n]
-    return grad_taps, grad_wave
+    return grad_taps
 
 
 def center_frequency_report(

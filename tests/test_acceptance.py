@@ -120,7 +120,7 @@ def test_shape_contract():
 def test_pcen_closed_forms():
     e = np.random.default_rng(1).uniform(0.0, 3.0, (2, 12))
     identity = PcenParams(alpha=np.zeros(2), delta=np.zeros(2), r=np.ones(2))
-    out, _ = pcen_forward(FeatureMap(e, "pre_compression_energy"), identity)
+    out, _ = pcen_forward(FeatureMap(e), identity)
     assert np.max(np.abs(out.values - e)) < 1e-12
 
     c = 5.0
@@ -128,15 +128,11 @@ def test_pcen_closed_forms():
         alpha=np.ones(1), delta=np.array([2.0]), r=np.array([0.5]),
         epsilon=1e-12,
     )
-    out, _ = pcen_forward(
-        FeatureMap(np.full((1, 8), c), "pre_compression_energy"), p
-    )
+    out, _ = pcen_forward(FeatureMap(np.full((1, 8), c)), p)
     expected = (1.0 + 2.0) ** 0.5 - 2.0**0.5
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
-    m = smoother(
-        FeatureMap(np.array([[1.0, 0.0, 0.0]]), "pre_compression_energy"), 0.5
-    )
+    m = smoother(FeatureMap([[1.0, 0.0, 0.0]]), 0.5)
     assert np.max(np.abs(m.values - np.array([[1.0, 0.5, 0.25]]))) < 1e-12
     print("\nACCEPTANCE pcen-closed-forms: PASS (identity, constant, smoother)")
 

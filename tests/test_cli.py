@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ class TestListConfigs:
         ]
 
 
+def test_readme_and_list_configs_match_the_code(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (line,) = [s for s in readme.splitlines() if s.startswith("wavefront gradcheck")]
+    ops = line.split("[", 1)[1].split("]", 1)[0].split("|")
+    assert ops == ["all", *net.GRADCHECK_ALL]
+    assert run_cli(["train", "--list-configs"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == len(net.ABLATION_CONFIGS)
+
+
 class TestConfigErrors:
     def test_pcen_mask_with_plain_frontend(self, small_corpus, tmp_path):
         _, root = small_corpus
@@ -82,9 +93,9 @@ class TestConfigErrors:
 
 class TestGradcheckCommand:
     def test_single_op_exits_clean(self, capsys):
-        assert run_cli(["gradcheck", "pcen"]) == 0
+        assert run_cli(["gradcheck", "frontend"]) == 0
         out = capsys.readouterr().out
-        assert "pcen[r,alpha,delta]" in out
+        assert "frontend[tdfb_pcen:r,alpha,delta]/pcen.r" in out
         assert "FAIL" not in out
 
     def test_broken_selftest_fails_with_numeric_exit(self, capsys):
@@ -321,18 +332,23 @@ class TestInspectCommand:
          ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
          # valid values, but not the config the checkpoint was trained with
          ({"hop": 10**30}, "bad.ckpt: config does not match its config_hash"),
-         ({"clip_seconds": 1e9}, "bad.ckpt: config does not match its config_hash")],
+         ({"clip_seconds": 1e9}, "bad.ckpt: config does not match its config_hash"),
+         # without the hash it loads, and padding a clip to 1e9 s cannot be
+         # allocated
+         ({"clip_seconds": 1e9, "config_hash": None}, "out of memory")],
     )
     def test_bad_checkpoint_config_is_config_error(
-        self, init_checkpoint, tmp_path, change, message
+        self, init_checkpoint, zero_wav, tmp_path, change, message
     ):
         tensors, meta = net.load_checkpoint(init_checkpoint)
-        meta["config"].update(change)
+        meta["config"].update({k: v for k, v in change.items() if k != "config_hash"})
+        if "config_hash" in change:
+            del meta["config_hash"]
         bad = tmp_path / "bad.ckpt"
         net.save_checkpoint(bad, tensors, meta)
         proc = subprocess.run(
-            [sys.executable, "-m", "wavefront.cli", "inspect", "--checkpoint", str(bad),
-             "--out-dir", str(tmp_path / "out")],
+            [sys.executable, "-m", "wavefront.cli", "extract", "--checkpoint", str(bad),
+             "--wav", str(zero_wav), "--out", str(tmp_path / "x.csv")],
             capture_output=True,
             text=True,
         )

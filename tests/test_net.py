@@ -487,8 +487,29 @@ class TestGradcheckRegistry:
     def test_thresholds_by_op(self):
         rows = run_gradcheck("all")
         for row in rows:
-            expected = 1e-5 if row.op.startswith(("pcen", "tdfb", "frontend")) else 1e-4
+            expected = 1e-5 if row.op.startswith("frontend") else 1e-4
             assert row.threshold == expected
+
+    def test_frontend_op_per_learnable_ablation_config(self):
+        rows = run_gradcheck("frontend", 3)
+        ops = list(dict.fromkeys(row.op for row in rows))  # distinct, in order
+        learnable = []
+        for kind, learn in net.ABLATION_CONFIGS:
+            tensors = net.frontend_tensors(
+                net.build_frontend(make_run_config(kind, learn))
+            )
+            if tensors:
+                learnable.append((kind, list(tensors)))
+        assert len(ops) == len(learnable) == 5
+        for op, (kind, tensors) in zip(ops, learnable):
+            assert op.startswith(f"frontend[{kind}")
+            assert [row.tensor for row in rows if row.op == op] == tensors
+
+    @pytest.mark.acceptance
+    def test_frontend_op_passes_over_40_seeds(self):
+        for seed in range(40):
+            for row in run_gradcheck("frontend", seed):
+                assert row.passed, f"seed {seed} {row.op}/{row.tensor}: {row.max_rel_err:.2e}"
 
     def test_unknown_op(self):
         with pytest.raises(ConfigError):
