@@ -44,33 +44,39 @@ class Manifest:
 
 
 def read_wav(path, expected_sample_rate: int = 16000) -> Waveform:
-    """Read a RIFF/WAVE file; must be 16-bit PCM, mono, at the expected rate."""
+    """Read a RIFF/WAVE file; must be 16-bit PCM, mono, at the expected rate.
+    Every FormatError or OSError it raises names the file."""
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getcomptype() != "NONE":
                 raise FormatError(
-                    f"codec: expected PCM, got compression '{wf.getcomptype()}'"
+                    f"{path}: codec: expected PCM, "
+                    f"got compression '{wf.getcomptype()}'"
                 )
             if wf.getsampwidth() != 2:
                 raise FormatError(
-                    f"sample_width: expected 16-bit, got {8 * wf.getsampwidth()}-bit"
+                    f"{path}: sample_width: expected 16-bit, "
+                    f"got {8 * wf.getsampwidth()}-bit"
                 )
             if wf.getnchannels() != 1:
                 raise FormatError(
-                    f"channels: expected mono, got {wf.getnchannels()}"
+                    f"{path}: channels: expected mono, got {wf.getnchannels()}"
                 )
             if wf.getframerate() != expected_sample_rate:
                 raise FormatError(
-                    f"sample_rate: expected {expected_sample_rate}, "
+                    f"{path}: sample_rate: expected {expected_sample_rate}, "
                     f"got {wf.getframerate()}"
                 )
             n_frames = wf.getnframes()
+            if n_frames == 0:
+                raise FormatError(f"{path}: empty data chunk (0 frames)")
             raw = wf.readframes(n_frames)
     except wave.Error as e:
-        raise FormatError(f"not a readable RIFF/WAVE file: {e}") from e
+        raise FormatError(f"{path}: not a readable RIFF/WAVE file: {e}") from e
     except RuntimeError as e:  # wave's chunk reader: a size past its RIFF chunk
         raise FormatError(
-            "not a readable RIFF/WAVE file: a chunk size runs past the RIFF chunk"
+            f"{path}: not a readable RIFF/WAVE file: "
+            "a chunk size runs past the RIFF chunk"
         ) from e
     except EOFError as e:
         raise OSError(f"truncated WAV file: {path}") from e

@@ -248,13 +248,6 @@ def init_model_params(
 # LSTM
 
 
-def _sigmoid(z):
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
-    # overflows.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
 @dataclass
 class LstmCache:
     x: np.ndarray
@@ -267,34 +260,54 @@ class LstmCache:
     hidden: np.ndarray
 
 
+def _tanh_gate_weights(p: ModelParams):
+    """(wx, wh, b, scale, offset) for all four gates from one tanh.
+
+    sigmoid(z) = 1/2 + tanh(z/2)/2. The input, forget and output rows of the
+    weights and bias are halved, a power-of-two scale, so their
+    pre-activations are exactly z/2 (short of subnormals). scale * tanh +
+    offset, with (1/2, 1/2) on those rows and (1, 0) on the cell-input rows,
+    then gives the gate values.
+    """
+    h = p.hidden_size
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    offset = 1.0 - scale
+    rows = scale[:, None]
+    return p.lstm_wx * rows, p.lstm_wh * rows, p.lstm_b * scale, scale, offset
+
+
 def lstm_forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, LstmCache]:
     """Standard LSTM over (n_frames, n_inputs) with h0 = c0 = 0; returns the
-    hidden sequence (n_frames, hidden)."""
+    hidden sequence (n_frames, hidden).
+
+    One tanh per frame gives all four gates (see _tanh_gate_weights), and no
+    exp can overflow. The cache's gate arrays are views of one (n_frames, 4H)
+    block; lstm_backward needs only their values, as sigmoid' = g(1 - g).
+    """
     n_frames = x.shape[0]
     h = p.hidden_size
-    pre = x @ p.lstm_wx.T + p.lstm_b  # input contribution for every step
-    # One sigmoid over all 4H pre-activations per step; the cell-input
-    # columns of `gates` are unused, tanh gives that gate.
-    gates = np.empty((n_frames, 4 * h))
-    gg = np.empty((n_frames, h))
+    wx, wh, b, scale, offset = _tanh_gate_weights(p)
+    gates = x @ wx.T + b  # each frame's input term, turned into gates in place
     cells = np.empty((n_frames, h))
     tanh_cells = np.empty((n_frames, h))
     hidden = np.empty((n_frames, h))
+    gi, gf, gg, go = (gates[:, k * h : (k + 1) * h] for k in range(4))
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
     for t in range(n_frames):
-        z = pre[t] + p.lstm_wh @ h_prev
-        gates[t] = s = _sigmoid(z)
-        gg[t] = np.tanh(z[2 * h : 3 * h])
-        c_prev = s[h : 2 * h] * c_prev + s[:h] * gg[t]
-        cells[t] = c_prev
-        tanh_cells[t] = np.tanh(c_prev)
-        h_prev = s[3 * h :] * tanh_cells[t]
-        hidden[t] = h_prev
+        g = gates[t]
+        g += wh @ h_prev
+        np.tanh(g, out=g)
+        g *= scale
+        g += offset
+        c_prev = np.multiply(gf[t], c_prev, out=cells[t])
+        c_prev += gi[t] * gg[t]
+        np.tanh(c_prev, out=tanh_cells[t])
+        h_prev = np.multiply(go[t], tanh_cells[t], out=hidden[t])
     bad = ~np.isfinite(hidden).all(axis=1)
     if bad.any():
         raise NumericError(f"non-finite LSTM state at timestep {np.argmax(bad)}")
-    gi, gf, go = gates[:, :h], gates[:, h : 2 * h], gates[:, 3 * h :]
     return hidden, LstmCache(x, gi, gf, gg, go, cells, tanh_cells, hidden)
 
 
@@ -442,16 +455,21 @@ def predict_logits(x: np.ndarray, p: ModelParams, ids=None) -> np.ndarray:
     """
     n_frames, batch, _ = x.shape
     h = p.hidden_size
+    wx, wh, b, scale, offset = _tanh_gate_weights(p)
     h_prev = np.zeros((batch, h))
     c_prev = np.zeros((batch, h))
     hidden = np.empty((n_frames, batch, h))
     scores = np.empty((n_frames, batch))
+    # Projecting every frame and scoring every state outside the loop, as
+    # one matmul each, measured slower than this per-step form.
     for t in range(n_frames):
-        z = x[t] @ p.lstm_wx.T + p.lstm_b
-        z += h_prev @ p.lstm_wh.T
-        s = _sigmoid(z)
-        c_prev = s[:, h : 2 * h] * c_prev + s[:, :h] * np.tanh(z[:, 2 * h : 3 * h])
-        h_prev = s[:, 3 * h :] * np.tanh(c_prev)
+        g = x[t] @ wx.T + b
+        g += h_prev @ wh.T
+        np.tanh(g, out=g)
+        g *= scale
+        g += offset
+        c_prev = g[:, h : 2 * h] * c_prev + g[:, :h] * g[:, 2 * h : 3 * h]
+        h_prev = g[:, 3 * h :] * np.tanh(c_prev)
         hidden[t] = h_prev
         scores[t] = np.tanh(h_prev @ p.attn1_w.T + p.attn1_b) @ p.attn2_w
     bad = ~np.isfinite(hidden).all(axis=2)  # (frames, batch)

@@ -78,6 +78,16 @@ class TestWavIO:
         with pytest.raises(FormatError, match="sample_width"):
             read_wav(path)
 
+    def test_empty_data_chunk_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(b"")
+        with pytest.raises(FormatError, match="empty.wav: empty data chunk"):
+            read_wav(path)
+
     def test_not_a_wav_file(self, tmp_path):
         path = tmp_path / "noise.wav"
         path.write_bytes(b"definitely not RIFF data")

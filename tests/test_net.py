@@ -156,17 +156,25 @@ class TestLstm:
         with pytest.raises(NumericError, match="timestep 3$"):
             lstm_forward(x, p)
 
-    def test_sigmoid_matches_masked_two_branch_form(self):
-        z = np.concatenate([
-            np.random.default_rng(4).normal(0.0, 8.0, 1000),
-            [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0],
-        ])
-        ref = np.empty_like(z)
-        pos = z >= 0
-        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        ref[~pos] = ez / (1.0 + ez)
-        assert np.array_equal(net._sigmoid(z), ref)
+    def test_saturated_gates_stay_finite_without_overflow(self):
+        # Units 0-2 have every gate's bias at +-30 to +-800, where a naive
+        # sigmoid's exp(-z) overflows; units 3-5 stay in range.
+        rng = np.random.default_rng(5)
+        hidden = 6
+        p = init_model_params(rng, 3, hidden, 4, 2)
+        sat = (np.arange(4 * hidden) % hidden) < 3
+        p.lstm_b[sat] = rng.choice([-1.0, 1.0], sat.sum()) * rng.uniform(
+            30.0, 800.0, sat.sum()
+        )
+        p.lstm_b[[0, hidden]] = [800.0, -800.0]
+        x = rng.standard_normal((2, 7, 3))
+        with np.errstate(all="raise"):
+            fast, _ = lstm_forward(x[0], p)
+            per_utt = np.array([classifier_forward(u.T, p)[0] for u in x])
+            batched = net.predict_logits(x.transpose(1, 0, 2), p)
+        assert np.isfinite(fast).all()
+        assert fast == pytest.approx(scalar_lstm(x[0], p), abs=1e-12)
+        assert np.max(np.abs(batched - per_utt)) <= 1e-12
 
 
 class TestLstmBackward:
