@@ -17,7 +17,7 @@ from wavefront import net
 from wavefront.data import SyntheticSpec, generate_synthetic, load_manifest
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--frontends", default="mel,tdfb")
@@ -29,7 +29,7 @@ def main():
     parser.add_argument("--n-test", type=int, default=40)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--patience", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     corpus_dir = out_dir / "corpus"

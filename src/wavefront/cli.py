@@ -251,15 +251,14 @@ def cmd_gradcheck(args) -> int:
     failed = 0
     for r in rows:
         status = "ok" if r.passed else "FAIL"
-        print(
-            f"{r.op + '/' + r.tensor:<{width}}  "
-            f"max rel err {r.max_rel_err:.3e}  threshold {r.threshold:.0e}  {status}"
-        )
+        name = f"{r.op}/{r.tensor}"
+        print(f"{name:<{width}}  max rel err {r.max_rel_err:.3e}  {status}")
         failed += 0 if r.passed else 1
+    limit = f"max rel err < {net.GRADCHECK_THRESHOLD:.0e}"
     if failed:
-        print(f"{failed} gradient check(s) failed")
+        print(f"{failed} gradient check(s) failed ({limit})")
         return EXIT_NUMERIC
-    print(f"all {len(rows)} gradient checks passed")
+    print(f"all {len(rows)} gradient checks passed ({limit})")
     return EXIT_OK
 
 

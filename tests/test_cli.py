@@ -59,7 +59,7 @@ def test_readme_and_list_configs_match_the_code(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (line,) = [s for s in readme.splitlines() if s.startswith("wavefront gradcheck")]
     ops = line.split("[", 1)[1].split("]", 1)[0].split("|")
-    assert ops == ["all", *net.GRADCHECK_ALL]
+    assert ops == list(net.GRADCHECK_OPS)
     assert run_cli(["train", "--list-configs"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(net.ABLATION_CONFIGS)
@@ -93,9 +93,9 @@ class TestConfigErrors:
 
 class TestGradcheckCommand:
     def test_single_op_exits_clean(self, capsys):
-        assert run_cli(["gradcheck", "frontend"]) == 0
+        assert run_cli(["gradcheck", "all"]) == 0
         out = capsys.readouterr().out
-        assert "frontend[tdfb_pcen:r,alpha,delta]/pcen.r" in out
+        assert "tdfb_pcen:r,alpha,delta/pcen.r" in out
         assert "FAIL" not in out
 
     def test_broken_selftest_fails_with_numeric_exit(self, capsys):
@@ -148,6 +148,26 @@ class TestExtractCommand:
             "--frontend", "mel", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("old", ["version-1", "attn2.b"])
+    def test_old_checkpoints_are_refused(self, old, zero_wav, tmp_path, capsys):
+        """A checkpoint of the version-1 format, or a version-2 one that
+        still carries the removed attention score bias, exits 2 with one
+        stderr line."""
+        state = net.make_train_state(net.make_run_config("mel"))
+        tensors = net.checkpoint_tensors(state)
+        if old == "attn2.b":
+            tensors.update({"attn2.b": np.zeros(1), "vel.attn2.b": np.zeros(1)})
+        path = tmp_path / "old.ckpt"
+        net.save_checkpoint(path, tensors, {"config": net.config_to_dict(state.config)})
+        if old == "version-1":
+            blob = path.read_bytes()
+            path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        code = run_cli(["extract", "--wav", str(zero_wav), "--checkpoint", str(path),
+                        "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, err
+        assert str(path) in err and "Traceback" not in err
 
     def test_every_header_byte_mutation(self, tmp_path, capsys):
         """Each of the 44 header bytes of a 1 s WAV set to 0x00, 0x01, 0x7f,

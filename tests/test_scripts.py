@@ -21,3 +21,14 @@ def test_overfit_check_reports_every_frontend(small_corpus, capsys):
     script.main(["--manifest", str(root / "manifest.csv"), "--max-epochs", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(net.FRONTENDS)
+
+
+def test_synthetic_experiment_prints_one_row_per_frontend(tmp_path, capsys):
+    script = load_script("run_synthetic_experiment")
+    script.main([
+        "--out-dir", str(tmp_path), "--frontends", "mel", "--seeds", "1",
+        "--epochs", "1", "--n-train", "2", "--n-valid", "2", "--n-test", "2",
+    ])
+    out = capsys.readouterr().out
+    table = out.split("test UAR over seeds\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in table] == ["mel"]
