@@ -1,4 +1,5 @@
-"""Command-line surface: train, eval, extract, inspect, gradcheck, synth.
+"""Command-line surface: train, eval, experiment, overfit, extract, inspect,
+gradcheck, synth.
 
 Exit codes: 0 success, 2 config/usage error (a config too large to allocate
 included), 3 data error, 4 numeric error.
@@ -70,6 +71,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--frontend", choices=net.FRONTENDS,
                         help="assert the checkpoint uses this frontend")
     p_eval.add_argument("--out", help="also write the JSON report here")
+
+    p_exp = sub.add_parser("experiment", help="train ablation rows over seeds")
+    p_exp.add_argument("--manifest", required=True)
+    p_exp.add_argument("--out-dir", required=True, help="gets one run per row and seed")
+    p_exp.add_argument(
+        "--configs", nargs="+", metavar="LABEL",
+        default=[net.config_label(*c) for c in net.ABLATION_CONFIGS],
+        help="ablation rows, e.g. mel tdfb tdfb_pcen:r (default: all rows of "
+        "train --list-configs)",
+    )
+    p_exp.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    p_exp.add_argument("--epochs", type=int, default=3)
+    p_exp.add_argument("--patience", type=int, default=3)
+
+    p_overfit = sub.add_parser("overfit", help="overfit ten utterances per frontend")
+    p_overfit.add_argument("--manifest", required=True)
+    p_overfit.add_argument("--max-epochs", type=int, default=50)
+    p_overfit.add_argument("--seed", type=int, default=0)
 
     p_extract = sub.add_parser("extract", help="write features for one WAV as CSV")
     p_extract.add_argument("--wav", required=True)
@@ -168,17 +187,51 @@ def cmd_eval(args) -> int:
     if len(runs) == 1:
         report = runs[0]
     else:
-        uars = np.array([r["uar"] for r in runs])
-        report = {
-            "runs": runs,
-            "split": args.split,
-            "uar_mean": float(uars.mean()),
-            "uar_std": float(uars.std(ddof=1)) if len(runs) > 1 else 0.0,
-        }
+        report = {"runs": runs, "split": args.split,
+                  **_uar_stats([r["uar"] for r in runs])}
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
+    return EXIT_OK
+
+
+def _uar_stats(uars) -> dict:
+    uars = np.array(uars)
+    std = float(uars.std(ddof=1)) if len(uars) > 1 else 0.0
+    return {"uar_mean": float(uars.mean()), "uar_std": std}
+
+
+def cmd_experiment(args) -> int:
+    rows = {net.config_label(*c): c for c in net.ABLATION_CONFIGS}
+    unknown = [label for label in args.configs if label not in rows]
+    if unknown:
+        raise ConfigError(
+            f"unknown config {', '.join(unknown)} (choose from {' '.join(rows)})"
+        )
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest, check_files=True)
+    runs = net.run_experiment(
+        manifest, [rows[label] for label in args.configs], args.seeds,
+        args.out_dir, epochs=args.epochs, patience=args.patience,
+    )
+    configs = {
+        label: _uar_stats([r["test_uar"] for r in runs if r["config"] == label])
+        for label in args.configs
+    }
+    print(json.dumps({"configs": configs, "runs": runs}, indent=2))
+    return EXIT_OK
+
+
+def cmd_overfit(args) -> int:
+    manifest = load_manifest(args.manifest)
+    report = {}
+    for frontend in net.FRONTENDS:
+        cfg = net.make_run_config(frontend, seed=args.seed, epochs=args.max_epochs)
+        r = net.overfit_check(manifest, cfg)
+        report[frontend] = {"initial": r.initial, "final": r.final, "epochs": r.epochs,
+                            "reached": r.final < 0.1 * r.initial}
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -283,6 +336,8 @@ def cmd_synth(args) -> int:
 _DISPATCH = {
     "train": cmd_train,
     "eval": cmd_eval,
+    "experiment": cmd_experiment,
+    "overfit": cmd_overfit,
     "extract": cmd_extract,
     "inspect": cmd_inspect,
     "gradcheck": cmd_gradcheck,

@@ -6,8 +6,9 @@ vector, and a dense layer produces the label logits. All gradients are
 hand-derived, including backprop through time; the optimizer is SGD with
 classic momentum at batch size 1. Also here: run configuration, the
 frontend (a filterbank, then a compression) and its per-utterance feature
-cache, checkpoint serialization, and the gradient check, which compares the
-whole model's gradients with finite differences of its loss for every
+cache, checkpoint serialization, the experiment that trains and tests every
+ablation configuration over seeds, and the gradient check, which compares
+the whole model's gradients with finite differences of its loss for every
 ablation configuration. Evaluation and validation run a forward-only copy of
 the classifier over batches of PREDICT_BATCH utterances.
 """
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import struct
+import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,8 +46,8 @@ PCEN_FRONTENDS = ("mel_pcen", "tdfb_pcen")
 PCEN_PARAM_NAMES = ("r", "alpha", "delta")
 # The paper's comparison, one (frontend, pcen_learn) row per configuration:
 # the five frontends, and tdfb_pcen learning r, alpha and delta, r only or
-# alpha only. `train --list-configs` prints it and the frontend gradient
-# check runs every row with learnable tensors.
+# alpha only. `train --list-configs` prints it, the gradient check runs every
+# row and `experiment` trains them; config_label names a row.
 ABLATION_CONFIGS = (
     ("mel", None),
     ("mel_mvn", None),
@@ -137,6 +139,11 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
             f"win_len {cfg.win_len} exceeds the clip's {clip_samples} samples"
         )
     return cfg
+
+
+def config_label(frontend: str, learn) -> str:
+    """The name of an ABLATION_CONFIGS row, e.g. tdfb_pcen:r,alpha,delta."""
+    return f"{frontend}:{','.join(learn)}" if learn else frontend
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -1011,6 +1018,37 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
     )
 
 
+def run_experiment(
+    manifest: Manifest, configs, seeds, out_dir, epochs: int, patience: int
+) -> list[dict]:
+    """Train every (frontend, pcen_learn) config once per seed into
+    out_dir/<label>_s<seed>, then score the best checkpoint on the test
+    split. One record per run, in config-then-seed order; a repeated config
+    or seed is refused before anything trains."""
+    labels = [config_label(frontend, learn) for frontend, learn in configs]
+    for what, items in (("config", labels), ("seed", seeds)):
+        repeated = sorted({x for x in items if items.count(x) > 1})
+        if repeated:
+            raise ConfigError(f"repeated {what}: {', '.join(map(str, repeated))}")
+    records = []
+    for (frontend, learn), label in zip(configs, labels):
+        for seed in seeds:
+            cfg = make_run_config(
+                frontend, learn, seed=seed, epochs=epochs, patience=patience
+            )
+            t0 = time.perf_counter()
+            result = train_run(manifest, cfg, Path(out_dir) / f"{label}_s{seed}")
+            train_s = time.perf_counter() - t0
+            state = state_from_checkpoint(result.checkpoint_path)
+            records.append(dict(
+                config=label, seed=seed, best_epoch=result.best_epoch,
+                best_valid_uar=result.best_valid_uar,
+                test_uar=evaluate(state, manifest.split("test")).uar,
+                train_s=train_s, checkpoint=result.checkpoint_path,
+            ))
+    return records
+
+
 @dataclass
 class OverfitResult:
     initial: float  # mean loss over the subset before training
@@ -1117,7 +1155,7 @@ def _check_model(seed: int) -> list[GradcheckRow]:
             return utterance_loss(state, wave, 0)
 
         _, analytic = utterance_loss_and_grads(state, wave, 0)
-        op = f"{kind}:{','.join(learn)}" if learn else kind
+        op = config_label(kind, learn)
         for name, target in state.tensors.items():
             err = max_relative_error(analytic[name], numeric_gradient(loss_fn, target))
             rows.append(GradcheckRow(op, name, err, err < GRADCHECK_THRESHOLD))

@@ -149,47 +149,31 @@ def experiment(tmp_path_factory):
         "synth", "--out-dir", str(corpus), "--seed", "7",
         "--n-train", "100", "--n-valid", "25", "--n-test", "40",
     )
-    manifest = str(corpus / "manifest.csv")
-    runs = {}
-    for frontend in ("mel", "tdfb"):
-        for seed in (1, 2, 3):
-            out = root / f"{frontend}_s{seed}"
-            t0 = time.perf_counter()
-            cli(
-                "train", "--manifest", manifest, "--frontend", frontend,
-                "--seed", str(seed), "--epochs", "3", "--patience", "3",
-                "--out-dir", str(out),
-            )
-            wall = time.perf_counter() - t0
-            report = json.loads(
-                cli(
-                    "eval", "--checkpoint", str(out / "checkpoint.ckpt"),
-                    "--manifest", manifest, "--split", "test",
-                )
-            )
-            runs[(frontend, seed)] = {
-                "wall_s": wall,
-                "uar": report["uar"],
-                "checkpoint": out / "checkpoint.ckpt",
-            }
-    return {"runs": runs, "manifest": manifest}
+    return json.loads(
+        cli(
+            "experiment", "--manifest", str(corpus / "manifest.csv"),
+            "--out-dir", str(root / "runs"), "--configs", "mel", "tdfb",
+            "--seeds", "1", "2", "3", "--epochs", "3", "--patience", "3",
+        )
+    )
 
 
 def test_synthetic_experiment(experiment):
     runs = experiment["runs"]
-    for (frontend, seed), run in runs.items():
-        assert run["wall_s"] < 600.0, (
-            f"{frontend} seed {seed} took {run['wall_s']:.0f} s"
+    assert [(r["config"], r["seed"]) for r in runs] == [
+        (config, seed) for config in ("mel", "tdfb") for seed in (1, 2, 3)
+    ]
+    for run in runs:
+        assert run["train_s"] < 600.0, (
+            f"{run['config']} seed {run['seed']} took {run['train_s']:.0f} s"
         )
-    mel_uars = [runs[("mel", s)]["uar"] for s in (1, 2, 3)]
-    tdfb_uars = [runs[("tdfb", s)]["uar"] for s in (1, 2, 3)]
-    mel_mean = float(np.mean(mel_uars))
-    tdfb_mean = float(np.mean(tdfb_uars))
+    mel_mean = experiment["configs"]["mel"]["uar_mean"]
+    tdfb_mean = experiment["configs"]["tdfb"]["uar_mean"]
     assert mel_mean >= 0.90, f"mel mean test UAR {mel_mean:.3f}"
     assert tdfb_mean >= mel_mean - 0.02, (
         f"tdfb mean {tdfb_mean:.3f} vs mel mean {mel_mean:.3f}"
     )
-    slowest = max(r["wall_s"] for r in runs.values())
+    slowest = max(r["train_s"] for r in runs)
     print(
         f"\nACCEPTANCE synthetic-experiment: PASS "
         f"(mel {mel_mean:.3f}, tdfb {tdfb_mean:.3f} over 3 seeds, "
@@ -200,9 +184,11 @@ def test_synthetic_experiment(experiment):
 def test_trained_filter_scale_keeps_band_density(experiment):
     # after training on the two-band task, filter density around the class
     # bands must not decrease relative to initialization
-    state = net.state_from_checkpoint(
-        experiment["runs"][("tdfb", 1)]["checkpoint"]
-    )
+    (checkpoint,) = [
+        r["checkpoint"] for r in experiment["runs"]
+        if (r["config"], r["seed"]) == ("tdfb", 1)
+    ]
+    state = net.state_from_checkpoint(checkpoint)
     rows = center_frequency_report(state.frontend.tdfb)
     learned = np.array([r[1] for r in rows])
     initial = np.array([r[2] for r in rows])

@@ -57,6 +57,11 @@ class TestListConfigs:
 
 def test_readme_and_list_configs_match_the_code(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = {
+        s.split()[1] for s in cli_block.splitlines() if s.startswith("wavefront ")
+    }
+    assert commands == set(cli._DISPATCH)
     (line,) = [s for s in readme.splitlines() if s.startswith("wavefront gradcheck")]
     ops = line.split("[", 1)[1].split("]", 1)[0].split("|")
     assert ops == list(net.GRADCHECK_OPS)
@@ -114,6 +119,89 @@ class TestSynthCommand:
         assert len(manifest.records) == 14
         out = capsys.readouterr().out
         assert "manifest" in out and "train" in out
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    """2/2/2 utterances per class: too few for the overfit check."""
+    root = tmp_path_factory.mktemp("corpus_tiny")
+    assert run_cli([
+        "synth", "--out-dir", str(root), "--seed", "1",
+        "--n-train", "2", "--n-valid", "2", "--n-test", "2",
+    ]) == 0
+    return str(root / "manifest.csv")
+
+
+class TestExperimentCommand:
+    def test_reports_one_row_per_config(self, tiny_manifest, tmp_path, capsys):
+        assert run_cli([
+            "experiment", "--manifest", tiny_manifest, "--out-dir", str(tmp_path),
+            "--configs", "mel", "--seeds", "1", "--epochs", "1",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (run,) = report["runs"]
+        assert (run["config"], run["seed"]) == ("mel", 1)
+        assert report["configs"] == {
+            "mel": {"uar_mean": run["test_uar"], "uar_std": 0.0}
+        }
+
+    def test_run_matches_train_and_eval(self, tiny_manifest, tmp_path, capsys):
+        flags = ["--manifest", tiny_manifest, "--epochs", "2", "--patience", "1"]
+        assert run_cli([
+            "experiment", *flags, "--out-dir", str(tmp_path / "exp"),
+            "--configs", "mel", "--seeds", "4",
+        ]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert run["checkpoint"] == str(tmp_path / "exp" / "mel_s4" / "checkpoint.ckpt")
+        assert run_cli([
+            "train", *flags, "--out-dir", str(tmp_path / "train"),
+            "--frontend", "mel", "--seed", "4",
+        ]) == 0
+        for name in ("checkpoint.ckpt", "train_log.csv", "config.json"):
+            assert (tmp_path / "exp" / "mel_s4" / name).read_bytes() == (
+                tmp_path / "train" / name
+            ).read_bytes(), name
+        capsys.readouterr()
+        assert run_cli([
+            "eval", "--checkpoint", run["checkpoint"], "--manifest", tiny_manifest,
+            "--split", "test",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["uar"] == run["test_uar"]
+
+    @pytest.mark.parametrize("selection", [
+        ["--configs", "bogus"],
+        ["--configs", "mel", "tdfb", "mel"],
+        ["--configs", "mel", "--seeds", "1", "2", "1"],
+    ], ids=["unknown-label", "repeated-label", "repeated-seed"])
+    def test_bad_selection_is_a_config_error(
+        self, selection, tiny_manifest, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "exp"
+        code = run_cli([
+            "experiment", "--manifest", tiny_manifest, "--out-dir", str(out_dir),
+            "--epochs", "1", *selection,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out_dir.exists()
+
+
+class TestOverfitCommand:
+    def test_reports_every_frontend(self, small_corpus, capsys):
+        _, root = small_corpus
+        assert run_cli([
+            "overfit", "--manifest", str(root / "manifest.csv"), "--max-epochs", "1",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == list(net.FRONTENDS)
+        for row in report.values():
+            assert row["epochs"] <= 1
+            assert row["reached"] == (row["final"] < 0.1 * row["initial"])
+
+    def test_too_few_train_utterances_is_a_data_error(self, tiny_manifest, capsys):
+        assert run_cli(["overfit", "--manifest", tiny_manifest]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestExtractCommand:
