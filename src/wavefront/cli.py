@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--list-configs",
         action="store_true",
-        help="print every ablation configuration and exit",
+        help="print the label of every ablation row, as experiment --configs "
+        "takes it, and exit",
     )
 
     p_eval = sub.add_parser("eval", help="evaluate checkpoints on a split")
@@ -127,11 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     if args.list_configs:
-        for frontend, mask in net.ABLATION_CONFIGS:
-            if mask is None:
-                print(frontend)
-            else:
-                print(f"{frontend} --pcen-learn {','.join(mask)}")
+        for row in net.ABLATION_CONFIGS:
+            print(net.config_label(*row))
         return EXIT_OK
     for required in ("manifest", "frontend", "out_dir"):
         if getattr(args, required) is None:
@@ -354,8 +352,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as e:
-        # valid config sizes too large to allocate, e.g. a checkpoint's
-        # clip_seconds
+        # config sizes within net.MAX_SIZES whose product is still too
+        # large to allocate
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, ValidationError, OSError) as e:

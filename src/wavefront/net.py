@@ -46,8 +46,8 @@ PCEN_FRONTENDS = ("mel_pcen", "tdfb_pcen")
 PCEN_PARAM_NAMES = ("r", "alpha", "delta")
 # The paper's comparison, one (frontend, pcen_learn) row per configuration:
 # the five frontends, and tdfb_pcen learning r, alpha and delta, r only or
-# alpha only. `train --list-configs` prints it, the gradient check runs every
-# row and `experiment` trains them; config_label names a row.
+# alpha only. config_label names a row; `train --list-configs` prints the
+# labels, the gradient check runs every row and `experiment` trains them.
 ABLATION_CONFIGS = (
     ("mel", None),
     ("mel_mvn", None),
@@ -57,6 +57,20 @@ ABLATION_CONFIGS = (
     ("tdfb_pcen", ("r",)),
     ("tdfb_pcen", ("alpha",)),
 )
+# Upper bounds on the sizes a config may ask for, far above the paper's
+# (2.5 s clips at 16 kHz, n_fft 512, 64 filters, H=60, A=50, 2 labels). A
+# checkpoint without its config_hash may carry any size, and one that the
+# allocator grants lazily but the machine cannot back would be killed when
+# its pages are touched instead of being refused.
+MAX_SIZES = {
+    "clip_seconds": 60.0,
+    "sample_rate": 48000,
+    "n_fft": 8192,
+    "n_filters": 512,
+    "hidden_size": 1024,
+    "attn_size": 1024,
+    "n_labels": 1024,
+}
 # Utterances per forward-only batch in evaluate and validation. Every clip is
 # padded or trimmed to clip_seconds, so a batch needs no mask.
 PREDICT_BATCH = 8
@@ -125,6 +139,10 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    for name, bound in MAX_SIZES.items():
+        value = getattr(cfg, name)
+        if value > bound:
+            raise ConfigError(f"{name} must be <= {bound}, got {value!r}")
     for name in ("momentum", "preemphasis_coeff"):
         value = getattr(cfg, name)
         if not 0 <= value < 1:

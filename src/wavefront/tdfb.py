@@ -11,13 +11,14 @@ gradient.
 
 The convolution and its tap gradient run by overlap-save on np.fft, with
 each filter's real and imaginary taps as one complex sequence and CHUNK
-filters per transform, so temporaries stay a few MB. No gradient flows to
-the waveform: nothing upstream of it learns. Only blocks holding signal
-are transformed: a clip zero-padded to a fixed length ends in blocks whose
-correlation is exactly zero, so the forward pass and the gradient stop at
-the block that holds the last nonzero sample. The convolution output is
-kept in block layout, one zero-initialized buffer whose pages past the
-signal are never written.
+filters per transform, each transformed in place in one buffer reused for
+every chunk. No gradient flows to the waveform: nothing upstream of it
+learns. Only blocks holding signal are transformed: a clip zero-padded to
+a fixed length ends in blocks whose correlation is exactly zero, so the
+forward pass and the gradient stop at the block that holds the last
+nonzero sample. The convolution output is not kept: the cache holds the
+spectra of the live input blocks and of the taps, and the backward pass
+rebuilds each chunk's convolution from them with one inverse transform.
 """
 
 from __future__ import annotations
@@ -68,14 +69,16 @@ class TdfbParams:
 
 @dataclass
 class TdfbCache:
-    """Forward intermediates retained for the backward pass."""
+    """Forward intermediates retained for the backward pass: the spectra
+    that the convolution is rebuilt from, not the convolution itself, so
+    the cache stays a few MB at paper shapes."""
 
     params: TdfbParams
     n_samples: int  # input length; conv past it is never read
     spectra: np.ndarray  # (n_live, block): DFT of each input block holding signal
-    # (n_filters, n_blocks, step) complex, real + 1j * imag output at sample
-    # b * step + s; blocks from n_live on stay exactly zero
-    conv: np.ndarray
+    # (n_filters, block): correlation spectrum of the taps the forward used,
+    # so the gradient is that of the forward's output even if the taps change
+    taps_spec: np.ndarray
     pooled: np.ndarray  # (n_filters, n_frames), the output energies
 
 
@@ -200,25 +203,26 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     spectra = np.fft.fft(sliding_window_view(xp, block)[::step][:n_live])
     taps_spec = np.conj(np.fft.fft(np.conj(_complex_taps(p)), block))
     n_frames = (n - k2) // hop + 1
-    conv = np.zeros((p.n_filters, n_blocks, step), dtype=np.complex128)
-    live = min(n, n_live * step)
     pooled = np.empty((p.n_filters, n_frames))
     slots = _lowpass_slots(p.lowpass_taps, hop)
-    energy = np.zeros((CHUNK, (n_frames + slots.shape[0]) * hop))
+    width = (n_frames + slots.shape[0]) * hop  # whole slots, past the input end
+    # Energies are written in block layout, so the buffer spans the live
+    # blocks too. Columns from n on, past the input, meet only zero lowpass
+    # taps; columns past the live blocks stay zero.
+    energy = np.zeros((CHUNK, max(width, n_live * step)))
+    # One buffer, transformed in place and reused by every chunk: a fresh
+    # temporary per chunk would be trimmed by the allocator and refaulted.
+    y = np.empty((CHUNK, n_live, block), dtype=np.complex128)
     for f0 in range(0, p.n_filters, CHUNK):
         fs = slice(f0, f0 + CHUNK)
-        # y is named so that it lives until the next chunk's replaces it:
-        # freed at once, the allocator trimmed and refaulted its pages on
-        # every chunk, three times the page faults of this form.
-        y = np.fft.ifft(taps_spec[fs, None, :] * spectra)
-        conv[fs, :n_live] = y[..., :step]
-        c = conv[fs].reshape(-1, n_blocks * step)[:, :live]
-        e = energy[: c.shape[0]]
-        np.square(c.real, out=e[:, :live])  # modulus then square, fused
-        e[:, :live] += c.imag**2
-        pooled[fs] = _lowpass(e, slots, n_frames)
-    cache = TdfbCache(p, n, spectra, conv, pooled)
-    return FeatureMap(pooled), cache
+        m = len(taps_spec[fs])
+        c = np.multiply(taps_spec[fs, None, :], spectra, out=y[:m])
+        np.fft.ifft(c, out=c)
+        e = energy[:m, : n_live * step].reshape(m, n_live, step)
+        np.square(c.real[..., :step], out=e)  # modulus then square, fused
+        e += np.square(c.imag[..., :step], out=c.imag[..., :step])
+        pooled[fs] = _lowpass(energy[:m, :width], slots, n_frames)
+    return FeatureMap(pooled), TdfbCache(p, n, spectra, taps_spec, pooled)
 
 
 def tdfb_backward(grad_out: np.ndarray, cache: TdfbCache) -> np.ndarray:
@@ -234,7 +238,7 @@ def tdfb_backward(grad_out: np.ndarray, cache: TdfbCache) -> np.ndarray:
     n = cache.n_samples
     k = p.kernel_width
     n_live, block = cache.spectra.shape
-    step = cache.conv.shape[2]
+    step = block - k + 1
     spectra_conj = np.conj(cache.spectra)
     grad_taps = np.empty_like(p.conv_taps)
     slots = _lowpass_slots(p.lowpass_taps, p.lowpass_stride)
@@ -243,14 +247,17 @@ def tdfb_backward(grad_out: np.ndarray, cache: TdfbCache) -> np.ndarray:
     # columns of each block of d.
     live = min(n, n_live * step)
     d_energy = np.zeros((CHUNK, n_live * step))
-    d = np.zeros((CHUNK, n_live, block), dtype=np.complex128)
+    y = np.empty((CHUNK, n_live, block), dtype=np.complex128)
     for f0 in range(0, p.n_filters, CHUNK):
         fs = slice(f0, f0 + CHUNK)
-        c = cache.conv[fs, :n_live]
-        m = c.shape[0]
+        m = len(cache.taps_spec[fs])
+        # the forward's convolution, rebuilt from its spectra
+        d = np.multiply(cache.taps_spec[fs, None, :], cache.spectra, out=y[:m])
+        np.fft.ifft(d, out=d)
         d_energy[:m, :live] = _lowpass_adjoint(g[fs], slots)[:, :live]
-        np.multiply(c, d_energy[:m].reshape(m, n_live, step), out=d[:m, :, :step])
-        d_spec = np.fft.fft(d[:m])
+        d[..., :step] *= d_energy[:m].reshape(m, n_live, step)
+        d[..., step:] = 0
+        d_spec = np.fft.fft(d, out=d)
         # Tap gradient: grad[j] = sum_t d[t] xp[t+j] for j < k, block by
         # block; with W = sum_b D_b conj(X_b) and real X this is
         # sum_f W[f] e^{-2 pi i f j / block} / block.

@@ -353,6 +353,13 @@ class TestRunConfig:
             ({"n_fft": 500}, "n_fft must be a power of two >= win_len 400, got 500"),
             ({"n_fft": 256}, "n_fft must be a power of two >= win_len 400, got 256"),
             ({"clip_seconds": 0.02}, "win_len 400 exceeds the clip's 320 samples"),
+            ({"clip_seconds": 1e9}, "clip_seconds must be <= 60.0, got 1000000000.0"),
+            ({"sample_rate": 10**9}, "sample_rate must be <= 48000"),
+            ({"n_fft": 2**20}, "n_fft must be <= 8192, got 1048576"),
+            ({"n_filters": 513}, "n_filters must be <= 512, got 513"),
+            ({"hidden_size": 10**30}, "hidden_size must be <= 1024"),
+            ({"attn_size": 1025}, "attn_size must be <= 1024, got 1025"),
+            ({"n_labels": 10**6}, "n_labels must be <= 1024"),
         ],
     )
     def test_out_of_range_values(self, change, message):
@@ -364,6 +371,8 @@ class TestRunConfig:
         assert (cfg.momentum, cfg.preemphasis_coeff, cfg.hop) == (0.0, 0.0, 1)
         cfg = make_run_config("mel", win_len=512, n_fft=512, clip_seconds=0.032)
         assert (cfg.win_len, cfg.n_fft, cfg.clip_seconds) == (512, 512, 0.032)
+        cfg = make_run_config("tdfb_pcen", **net.MAX_SIZES)
+        assert all(getattr(cfg, k) == v for k, v in net.MAX_SIZES.items())
 
     def test_dict_without_frontend(self):
         d = net.config_to_dict(make_run_config("mel"))
