@@ -115,12 +115,18 @@ def mel_energy_features(
             cfg.n_filters, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max
         )
     taps = hanning_window(cfg.win_len).taps
+    # Frames that start past the last nonzero sample hold only zeros, and
+    # so do their energies: only frames 0 .. last // hop are transformed.
+    nonzero = np.flatnonzero(w.samples)
+    n_live = (nonzero[-1] if nonzero.size else 0) // cfg.hop + 1
+    live = Waveform(w.samples[: (n_live - 1) * cfg.hop + cfg.win_len], w.sample_rate)
     # The unwindowed frames are freed before the transform runs, which
     # lowers the peak memory of a feature pass by one frame matrix.
-    windowed = frame_signal(w, cfg.win_len, cfg.hop) * taps
+    windowed = frame_signal(live, cfg.win_len, cfg.hop) * taps
     spectra = power_spectrum(windowed, cfg.n_fft)
-    energies = spectra @ matrix.weights.T
-    return FeatureMap(np.ascontiguousarray(energies.T))
+    energies = np.zeros((matrix.n_filters, (len(w) - cfg.win_len) // cfg.hop + 1))
+    energies[:, : len(spectra)] = (spectra @ matrix.weights.T).T
+    return FeatureMap(energies)
 
 
 def log_mel_features(

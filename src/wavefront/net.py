@@ -71,6 +71,12 @@ MAX_SIZES = {
     "attn_size": 1024,
     "n_labels": 1024,
 }
+# Upper bound on the products of sizes, in array elements (512 MB as float64):
+# frames x n_fft, which every frontend meets (mel framing and spectra, or the
+# tdfb lowpass pooling, whose width win_len is at most n_fft), and, for tdfb,
+# n_filters x clip samples. The paper's are 248 x 512 and 64 x 40 000 (26
+# times below it); a 60 s clip at hop 1 is far above it.
+MAX_SIZE_PRODUCT = 2**26
 # Utterances per forward-only batch in evaluate and validation. Every clip is
 # padded or trimmed to clip_seconds, so a batch needs no mask.
 PREDICT_BATCH = 8
@@ -156,6 +162,13 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
         raise ConfigError(
             f"win_len {cfg.win_len} exceeds the clip's {clip_samples} samples"
         )
+    n_frames = (clip_samples - cfg.win_len) // cfg.hop + 1
+    products = {"frames x n_fft": n_frames * cfg.n_fft}
+    if cfg.frontend in ("tdfb", "tdfb_pcen"):
+        products["n_filters x clip samples"] = cfg.n_filters * clip_samples
+    for name, value in products.items():
+        if value > MAX_SIZE_PRODUCT:
+            raise ConfigError(f"{name} must be <= {MAX_SIZE_PRODUCT}, got {value}")
     return cfg
 
 

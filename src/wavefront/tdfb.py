@@ -10,15 +10,16 @@ triangles and carry analytic gradients; the lowpass never receives
 gradient.
 
 The convolution and its tap gradient run by overlap-save on np.fft, with
-each filter's real and imaginary taps as one complex sequence and CHUNK
-filters per transform, each transformed in place in one buffer reused for
-every chunk. No gradient flows to the waveform: nothing upstream of it
-learns. Only blocks holding signal are transformed: a clip zero-padded to
-a fixed length ends in blocks whose correlation is exactly zero, so the
-forward pass and the gradient stop at the block that holds the last
-nonzero sample. The convolution output is not kept: the cache holds the
-spectra of the live input blocks and of the taps, and the backward pass
-rebuilds each chunk's convolution from them with one inverse transform.
+each filter's real and imaginary taps as one complex sequence and one
+filter per transform, in one buffer reused by every filter and small
+enough to stay in cache. No gradient flows to the waveform: nothing
+upstream of it learns. Only blocks holding signal are transformed: a clip
+zero-padded to a fixed length ends in blocks whose correlation is exactly
+zero, so the forward pass and the gradient stop at the block that holds
+the last nonzero sample. The convolution output is not kept: the cache
+holds the spectra of the live input blocks and of the taps, and the
+backward pass rebuilds each filter's convolution from them with one
+inverse transform.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .melfb import (
 )
 
 BLOCK = 4096  # overlap-save block length; grows for kernels over BLOCK / 2 taps
-CHUNK = 8  # filters per batched transform
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,21 @@ def _lowpass_slots(taps: np.ndarray, hop: int) -> np.ndarray:
 
 
 def _lowpass(energy: np.ndarray, slots: np.ndarray, n_frames: int) -> np.ndarray:
-    """out[:, f] = sum_i taps[i] energy[:, f*hop + i] for energy of whole
-    slots, zero past the signal: one product with the slot rows, then a
-    shifted sum over r."""
-    proj = energy.reshape(energy.shape[0], -1, slots.shape[1]) @ slots.T
-    return sum(proj[:, r : r + n_frames, r] for r in range(slots.shape[0]))
+    """out[f] = sum_i taps[i] energy[f*hop + i] for energy of whole slots,
+    zero past the signal: one product with the slot rows, then a shifted
+    sum over r."""
+    proj = energy.reshape(-1, slots.shape[1]) @ slots.T
+    return sum(proj[r : r + n_frames, r] for r in range(slots.shape[0]))
 
 
 def _lowpass_adjoint(g: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Transpose of _lowpass: frame f spreads g[:, f] * taps over slots
+    """Transpose of _lowpass: frame f spreads g[f] * taps over slots
     f .. f + len(slots) - 1."""
-    m, n_frames = g.shape
-    shifted = np.zeros((m, n_frames + slots.shape[0], slots.shape[0]))
+    n_frames = g.size
+    shifted = np.zeros((n_frames + slots.shape[0], slots.shape[0]))
     for r in range(slots.shape[0]):
-        shifted[:, r : r + n_frames, r] = g
-    return (shifted @ slots).reshape(m, -1)
+        shifted[r : r + n_frames, r] = g
+    return (shifted @ slots).reshape(-1)
 
 
 def _complex_taps(p: TdfbParams) -> np.ndarray:
@@ -201,27 +201,26 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     xp = np.zeros((n_blocks - 1) * step + block)
     xp[pad_left : pad_left + n] = x
     spectra = np.fft.fft(sliding_window_view(xp, block)[::step][:n_live])
-    taps_spec = np.conj(np.fft.fft(np.conj(_complex_taps(p)), block))
+    taps_spec = np.fft.fft(np.conj(_complex_taps(p)), block)
+    np.conj(taps_spec, out=taps_spec)
     n_frames = (n - k2) // hop + 1
     pooled = np.empty((p.n_filters, n_frames))
     slots = _lowpass_slots(p.lowpass_taps, hop)
     width = (n_frames + slots.shape[0]) * hop  # whole slots, past the input end
-    # Energies are written in block layout, so the buffer spans the live
+    # Energies are written in block layout, so the row spans the live
     # blocks too. Columns from n on, past the input, meet only zero lowpass
     # taps; columns past the live blocks stay zero.
-    energy = np.zeros((CHUNK, max(width, n_live * step)))
-    # One buffer, transformed in place and reused by every chunk: a fresh
-    # temporary per chunk would be trimmed by the allocator and refaulted.
-    y = np.empty((CHUNK, n_live, block), dtype=np.complex128)
-    for f0 in range(0, p.n_filters, CHUNK):
-        fs = slice(f0, f0 + CHUNK)
-        m = len(taps_spec[fs])
-        c = np.multiply(taps_spec[fs, None, :], spectra, out=y[:m])
+    energy = np.zeros(max(width, n_live * step))
+    e = energy[: n_live * step].reshape(n_live, step)
+    # One buffer, transformed in place and reused by every filter: a fresh
+    # temporary per filter would be trimmed by the allocator and refaulted.
+    y = np.empty((n_live, block), dtype=np.complex128)
+    for f, spec in enumerate(taps_spec):
+        c = np.multiply(spec, spectra, out=y)
         np.fft.ifft(c, out=c)
-        e = energy[:m, : n_live * step].reshape(m, n_live, step)
-        np.square(c.real[..., :step], out=e)  # modulus then square, fused
-        e += np.square(c.imag[..., :step], out=c.imag[..., :step])
-        pooled[fs] = _lowpass(energy[:m, :width], slots, n_frames)
+        np.square(c.real[:, :step], out=e)  # modulus then square, fused
+        e += np.square(c.imag[:, :step], out=c.imag[:, :step])
+        pooled[f] = _lowpass(energy[:width], slots, n_frames)
     return FeatureMap(pooled), TdfbCache(p, n, spectra, taps_spec, pooled)
 
 
@@ -246,25 +245,25 @@ def tdfb_backward(grad_out: np.ndarray, cache: TdfbCache) -> np.ndarray:
     # stays 0 from the end of the input on, and so do the last k - 1
     # columns of each block of d.
     live = min(n, n_live * step)
-    d_energy = np.zeros((CHUNK, n_live * step))
-    y = np.empty((CHUNK, n_live, block), dtype=np.complex128)
-    for f0 in range(0, p.n_filters, CHUNK):
-        fs = slice(f0, f0 + CHUNK)
-        m = len(cache.taps_spec[fs])
+    d_energy = np.zeros(n_live * step)
+    de = d_energy.reshape(n_live, step)
+    y = np.empty((n_live, block), dtype=np.complex128)
+    for f, spec in enumerate(cache.taps_spec):
         # the forward's convolution, rebuilt from its spectra
-        d = np.multiply(cache.taps_spec[fs, None, :], cache.spectra, out=y[:m])
+        d = np.multiply(spec, cache.spectra, out=y)
         np.fft.ifft(d, out=d)
-        d_energy[:m, :live] = _lowpass_adjoint(g[fs], slots)[:, :live]
-        d[..., :step] *= d_energy[:m].reshape(m, n_live, step)
-        d[..., step:] = 0
+        d_energy[:live] = _lowpass_adjoint(g[f], slots)[:live]
+        d.real[:, :step] *= de
+        d.imag[:, :step] *= de
+        d[:, step:] = 0
         d_spec = np.fft.fft(d, out=d)
         # Tap gradient: grad[j] = sum_t d[t] xp[t+j] for j < k, block by
         # block; with W = sum_b D_b conj(X_b) and real X this is
         # sum_f W[f] e^{-2 pi i f j / block} / block.
-        corr = np.einsum("rbf,bf->rf", d_spec, spectra_conj)
-        grad = np.fft.fft(corr)[:, :k] / block
-        grad_taps[2 * f0 : 2 * (f0 + m) : 2] = grad.real
-        grad_taps[2 * f0 + 1 : 2 * (f0 + m) : 2] = grad.imag
+        corr = np.einsum("bf,bf->f", d_spec, spectra_conj)
+        grad = np.fft.fft(corr)[:k] / block
+        grad_taps[2 * f] = grad.real
+        grad_taps[2 * f + 1] = grad.imag
     return grad_taps
 
 

@@ -469,7 +469,10 @@ class TestInspectCommand:
          # without the hash the config is read as it stands, and a 1e9 s clip
          # is refused before anything is allocated
          ({"clip_seconds": 1e9, "config_hash": None},
-          "clip_seconds must be <= 60.0, got 1000000000.0")],
+          "clip_seconds must be <= 60.0, got 1000000000.0"),
+         # each size within its bound, but a minute at hop 1 is 959 601 frames
+         ({"clip_seconds": 60.0, "hop": 1, "config_hash": None},
+          "frames x n_fft must be <= 67108864, got 491315712")],
     )
     def test_bad_checkpoint_config_is_config_error(
         self, init_checkpoint, zero_wav, tmp_path, change, message

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefront.dsp import Waveform
+from wavefront.dsp import Waveform, frame_signal, hanning_window, power_spectrum
 from wavefront.melfb import (
     FeatureMap,
     MelConfig,
@@ -117,6 +117,24 @@ class TestLogMelFeatures:
     def test_energy_features_are_nonnegative(self):
         fm = mel_energy_features(tone(1000.0), CFG)
         assert np.all(fm.values >= 0)
+
+    @pytest.mark.parametrize("last", [399, 13999, 20159, 20160, 20161, 39999])
+    def test_padded_clip_matches_every_frame_transformed(self, last):
+        # Only frames 0 .. last // hop are transformed; the rest must be the
+        # exact zeros that transforming them would give.
+        m = mel_filterbank_matrix()
+        x = np.zeros(40000)
+        x[: last + 1] = 0.1 * np.random.default_rng(last).standard_normal(last + 1)
+        w = Waveform(x, 16000)
+        frames = frame_signal(w, CFG.win_len, CFG.hop) * hanning_window(CFG.win_len).taps
+        expected = (power_spectrum(frames, CFG.n_fft) @ m.weights.T).T
+        fm = mel_energy_features(w, CFG, m)
+        live = last // CFG.hop + 1
+        assert np.all(fm.values[:, live:] == 0) and np.all(expected[:, live:] == 0)
+        if live > 18:
+            assert fm.values.tobytes() == expected.tobytes()
+        else:  # BLAS may sum a product of so few rows in another order
+            assert fm.values == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestMeanVarianceNormalize:

@@ -371,8 +371,41 @@ class TestRunConfig:
         assert (cfg.momentum, cfg.preemphasis_coeff, cfg.hop) == (0.0, 0.0, 1)
         cfg = make_run_config("mel", win_len=512, n_fft=512, clip_seconds=0.032)
         assert (cfg.win_len, cfg.n_fft, cfg.clip_seconds) == (512, 512, 0.032)
-        cfg = make_run_config("tdfb_pcen", **net.MAX_SIZES)
-        assert all(getattr(cfg, k) == v for k, v in net.MAX_SIZES.items())
+        for name, bound in net.MAX_SIZES.items():
+            cfg = make_run_config("tdfb_pcen", **{name: bound})
+            assert getattr(cfg, name) == bound
+
+    @pytest.mark.parametrize("frontend", net.FRONTENDS)
+    def test_paper_shapes_pass_the_size_product_bound_widely(self, frontend):
+        cfg = make_run_config(frontend)
+        samples = round(cfg.clip_seconds * cfg.sample_rate)
+        frames = (samples - cfg.win_len) // cfg.hop + 1
+        assert 16 * max(frames * cfg.n_fft, cfg.n_filters * samples) < net.MAX_SIZE_PRODUCT
+
+    # Each `at` config's product is exactly 2**26; `past` is one step more.
+    # 2**17 frames of 512 points at hop 1
+    MEL_AT = dict(sample_rate=16384, win_len=512, hop=1, clip_seconds=(2**17 + 511) / 16384)
+    TDFB_AT = dict(sample_rate=32768, clip_seconds=32.0)  # 64 filters x 2**20 samples
+
+    @pytest.mark.parametrize(
+        "frontend, at, past, product",
+        [
+            ("mel", MEL_AT, dict(MEL_AT, clip_seconds=(2**17 + 512) / 16384),
+             "frames x n_fft"),
+            ("tdfb", TDFB_AT, dict(TDFB_AT, n_filters=65), "n_filters x clip samples"),
+        ],
+    )
+    def test_size_product_at_the_bound_and_just_past(self, frontend, at, past, product):
+        assert net.MAX_SIZE_PRODUCT == 2**26
+        make_run_config(frontend, **at)
+        with pytest.raises(ConfigError, match=f"{product} must be <= {2**26}, got "):
+            make_run_config(frontend, **past)
+
+    @pytest.mark.parametrize("frontend", net.FRONTENDS)
+    def test_a_minute_at_hop_1_is_refused(self, frontend):
+        # about 960 000 frames: only the config is built, nothing is run
+        with pytest.raises(ConfigError, match="frames x n_fft must be <="):
+            make_run_config(frontend, clip_seconds=60.0, hop=1)
 
     def test_dict_without_frontend(self):
         d = net.config_to_dict(make_run_config("mel"))
