@@ -3,7 +3,8 @@ gradcheck, synth.
 
 Exit codes: 0 success, 2 config/usage error (a config too large to allocate
 included), 3 data error, 4 numeric error.
-All outputs are CSV or JSON; plotting is left to external tools.
+All outputs are CSV or JSON, each written to a temp file and renamed onto
+its path; plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        net.write_atomic(args.out, [(text + "\n").encode()])
     return EXIT_OK
 
 
@@ -234,12 +235,13 @@ def cmd_overfit(args) -> int:
 
 
 def _write_csv(path, rows, header: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+    """Write the rows as CSV, atomically (net.write_atomic)."""
+    lines = [header] if header else []
+    lines += [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    net.write_atomic(path, ["".join(line + "\n" for line in lines).encode()])
 
 
 def cmd_extract(args) -> int:

@@ -272,10 +272,11 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
                     spec.n_sinusoids,
                 )
                 phases = rng.uniform(0.0, 2.0 * np.pi, spec.n_sinusoids)
-                t = np.arange(n) / sr
-                burst = np.sin(
-                    2.0 * np.pi * t[:, None] * freqs[None, :] + phases
-                ).sum(axis=1)
+                # One sinusoid at a time, so only clip-length vectors are held.
+                omega_t = 2.0 * np.pi * (np.arange(n) / sr)
+                burst = np.zeros(n)
+                for freq, phase in zip(freqs, phases):
+                    burst += np.sin(omega_t * freq + phase)
                 burst *= spec.burst_rms / np.sqrt(np.mean(burst**2))
                 x = burst * gain * rng.uniform(0.8, 1.2)
                 x = x + spec.noise_floor * rng.standard_normal(n)

@@ -46,19 +46,6 @@ class FeatureMap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class MelConfig:
-    """Analysis layout: 64 filters over 25 ms windows every 10 ms at 16 kHz."""
-
-    n_filters: int = 64
-    win_len: int = 400
-    hop: int = 160
-    n_fft: int = 512
-    sample_rate: int = 16000
-    f_min: float = 0.0
-    f_max: float = 8000.0
-
-
 def mel_scale(f_hz):
     """Hz -> mel, 2595 * log10(1 + f / 700)."""
     f = np.asarray(f_hz, dtype=np.float64)
@@ -106,35 +93,33 @@ def mel_filterbank_matrix(
 
 
 def mel_energy_features(
-    w: Waveform, cfg: MelConfig, matrix: MelFilterbankMatrix | None = None
+    w: Waveform, matrix: MelFilterbankMatrix, win_len: int, hop: int
 ) -> FeatureMap:
-    """Hann-windowed power spectra projected through the filterbank, no
-    compression. This is the input expected by energy normalization."""
-    if matrix is None:
-        matrix = mel_filterbank_matrix(
-            cfg.n_filters, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max
-        )
-    taps = hanning_window(cfg.win_len).taps
+    """Hann-windowed power spectra of win_len-sample frames every hop
+    samples, projected through the filterbank (whose n_fft sets the
+    transform length), no compression. This is the input expected by energy
+    normalization."""
+    taps = hanning_window(win_len).taps
     # Frames that start past the last nonzero sample hold only zeros, and
     # so do their energies: only frames 0 .. last // hop are transformed.
     nonzero = np.flatnonzero(w.samples)
-    n_live = (nonzero[-1] if nonzero.size else 0) // cfg.hop + 1
-    live = Waveform(w.samples[: (n_live - 1) * cfg.hop + cfg.win_len], w.sample_rate)
+    n_live = (nonzero[-1] if nonzero.size else 0) // hop + 1
+    live = Waveform(w.samples[: (n_live - 1) * hop + win_len], w.sample_rate)
     # The unwindowed frames are freed before the transform runs, which
     # lowers the peak memory of a feature pass by one frame matrix.
-    windowed = frame_signal(live, cfg.win_len, cfg.hop) * taps
-    spectra = power_spectrum(windowed, cfg.n_fft)
-    energies = np.zeros((matrix.n_filters, (len(w) - cfg.win_len) // cfg.hop + 1))
+    windowed = frame_signal(live, win_len, hop) * taps
+    spectra = power_spectrum(windowed, matrix.n_fft)
+    energies = np.zeros((matrix.n_filters, (len(w) - win_len) // hop + 1))
     energies[:, : len(spectra)] = (spectra @ matrix.weights.T).T
     return FeatureMap(energies)
 
 
 def log_mel_features(
-    w: Waveform, cfg: MelConfig, matrix: MelFilterbankMatrix | None = None
+    w: Waveform, matrix: MelFilterbankMatrix, win_len: int, hop: int
 ) -> FeatureMap:
     """log(1 + mel energy); the add-1 keeps zero input at exactly zero output
     and matches the compression used by the learnable path."""
-    energies = mel_energy_features(w, cfg, matrix)
+    energies = mel_energy_features(w, matrix, win_len, hop)
     return FeatureMap(np.log1p(energies.values))
 
 

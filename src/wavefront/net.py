@@ -4,13 +4,16 @@ A unidirectional LSTM (hidden 60) reads the feature frames, an additive
 attention block (FC-50 -> FC-1 -> softmax over time) pools them into one
 vector, and a dense layer produces the label logits. All gradients are
 hand-derived, including backprop through time; the optimizer is SGD with
-classic momentum at batch size 1. Also here: run configuration, the
-frontend (a filterbank, then a compression) and its per-utterance feature
-cache, checkpoint serialization, the experiment that trains and tests every
-ablation configuration over seeds, and the gradient check, which compares
-the whole model's gradients with finite differences of its loss for every
-ablation configuration. Evaluation and validation run a forward-only copy of
-the classifier over batches of PREDICT_BATCH utterances.
+classic momentum at batch size 1. Also here: RunConfig, the one settings
+object of a run (the learning rate, momentum and pre-emphasis are the
+paper's constants, not settings); the frontend (a filterbank, then a
+compression) and its per-utterance feature cache; make_train_state, the one
+place that decides which tensors learn; checkpoint serialization, which
+stores parameters only; the experiment that trains and tests every ablation
+configuration over seeds; and the gradient check, which compares the whole
+model's gradients with finite differences of its loss for every ablation
+configuration. Evaluation and validation run a forward-only copy of the
+classifier over batches of PREDICT_BATCH utterances.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .dsp import Waveform, preemphasis
 from .errors import ConfigError, NumericError, ValidationError
 from .melfb import (
     FeatureMap,
-    MelConfig,
     MelFilterbankMatrix,
     mean_variance_normalize,
     mel_energy_features,
@@ -57,8 +59,13 @@ ABLATION_CONFIGS = (
     ("tdfb_pcen", ("r",)),
     ("tdfb_pcen", ("alpha",)),
 )
+# The paper's fixed hyperparameters: SGD with classic momentum, and the
+# pre-emphasis filter applied to every prepared waveform.
+LEARNING_RATE = 0.001
+MOMENTUM = 0.98
+PREEMPHASIS = 0.97
 # Upper bounds on the sizes a config may ask for, far above the paper's
-# (2.5 s clips at 16 kHz, n_fft 512, 64 filters, H=60, A=50, 2 labels). A
+# (2.5 s clips at 16 kHz, n_fft 512, 64 filters, H=60, A=50). A
 # checkpoint without its config_hash may carry any size, and one that the
 # allocator grants lazily but the machine cannot back would be killed when
 # its pages are touched instead of being refused.
@@ -69,7 +76,6 @@ MAX_SIZES = {
     "n_filters": 512,
     "hidden_size": 1024,
     "attn_size": 1024,
-    "n_labels": 1024,
 }
 # Upper bound on the products of sizes, in array elements (512 MB as float64):
 # frames x n_fft, which every frontend meets (mel framing and spectra, or the
@@ -95,8 +101,6 @@ class RunConfig:
     seed: int = 0
     epochs: int = 20
     patience: int = 10
-    learning_rate: float = 0.001
-    momentum: float = 0.98
     n_filters: int = 64
     sample_rate: int = 16000
     clip_seconds: float = 2.5
@@ -105,8 +109,6 @@ class RunConfig:
     n_fft: int = 512
     hidden_size: int = 60
     attn_size: int = 50
-    n_labels: int = 2
-    preemphasis_coeff: float = 0.97
 
 
 def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
@@ -136,23 +138,19 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
         raise ConfigError("patience must be >= 1")
     for name in (
         "n_filters", "sample_rate", "win_len", "hop", "n_fft", "hidden_size",
-        "attn_size", "n_labels",
+        "attn_size",
     ):
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name in ("clip_seconds", "learning_rate"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(cfg.clip_seconds) and cfg.clip_seconds > 0):
+        raise ConfigError(
+            f"clip_seconds must be finite and > 0, got {cfg.clip_seconds!r}"
+        )
     for name, bound in MAX_SIZES.items():
         value = getattr(cfg, name)
         if value > bound:
             raise ConfigError(f"{name} must be <= {bound}, got {value!r}")
-    for name in ("momentum", "preemphasis_coeff"):
-        value = getattr(cfg, name)
-        if not 0 <= value < 1:
-            raise ConfigError(f"{name} must lie in [0, 1), got {value!r}")
     if cfg.n_fft & (cfg.n_fft - 1) or cfg.n_fft < cfg.win_len:
         raise ConfigError(
             f"n_fft must be a power of two >= win_len {cfg.win_len}, got {cfg.n_fft}"
@@ -537,30 +535,15 @@ def batched_logits(p: ModelParams, utterances: list, features_of) -> np.ndarray:
 # Optimizer
 
 
-@dataclass
-class OptimizerState:
-    velocities: dict[str, np.ndarray]
-    momentum: float = 0.98
-    learning_rate: float = 0.001
-
-
-def init_optimizer(
-    tensors: dict[str, np.ndarray], momentum: float, learning_rate: float
-) -> OptimizerState:
-    return OptimizerState(
-        velocities={k: np.zeros_like(v) for k, v in tensors.items()},
-        momentum=momentum,
-        learning_rate=learning_rate,
-    )
-
-
 def sgd_momentum_step(
     tensors: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    state: OptimizerState,
+    velocities: dict[str, np.ndarray],
 ) -> None:
-    """Classic momentum, applied in place: v <- mu v + g, theta <- theta - lr v."""
-    for name, vel in state.velocities.items():
+    """Classic momentum, applied in place: v <- mu v + g, theta <- theta - lr v,
+    with mu = MOMENTUM and lr = LEARNING_RATE, for every tensor that has a
+    velocity."""
+    for name, vel in velocities.items():
         if name not in grads:
             raise ValueError(f"missing gradient for tensor '{name}'")
         g = grads[name]
@@ -569,9 +552,9 @@ def sgd_momentum_step(
                 f"gradient shape {g.shape} does not match tensor "
                 f"'{name}' shape {vel.shape}"
             )
-        vel *= state.momentum
+        vel *= MOMENTUM
         vel += g
-        tensors[name] -= state.learning_rate * vel
+        tensors[name] -= LEARNING_RATE * vel
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +566,19 @@ class Frontend:
     """A filterbank, then a compression. The filterbank is the fixed mel
     energies when tdfb is None, otherwise the learnable time-domain one. The
     compression is PCEN when pcen is set, otherwise log(1 + x), standardized
-    per channel when mvn is set. build_frontend alone maps kind to these."""
+    per channel when mvn is set. build_frontend alone maps the config's
+    frontend to these; the config also gives the mel analysis window and
+    hop."""
 
-    kind: str
-    mel_config: MelConfig
+    config: RunConfig
     mel_matrix: MelFilterbankMatrix
     tdfb: TdfbParams | None = None
     pcen: PcenParams | None = None
     mvn: bool = False
+
+    @property
+    def kind(self) -> str:
+        return self.config.frontend
 
 
 @dataclass
@@ -602,19 +590,10 @@ class FrontendCache:
 
 
 def build_frontend(cfg: RunConfig) -> Frontend:
-    mel_config = MelConfig(
-        n_filters=cfg.n_filters,
-        win_len=cfg.win_len,
-        hop=cfg.hop,
-        n_fft=cfg.n_fft,
-        sample_rate=cfg.sample_rate,
-        f_min=0.0,
-        f_max=cfg.sample_rate / 2.0,
-    )
     matrix = mel_filterbank_matrix(
         cfg.n_filters, cfg.n_fft, cfg.sample_rate, 0.0, cfg.sample_rate / 2.0
     )
-    fe = Frontend(cfg.frontend, mel_config, matrix, mvn=cfg.frontend == "mel_mvn")
+    fe = Frontend(cfg, matrix, mvn=cfg.frontend == "mel_mvn")
     if cfg.frontend in ("tdfb", "tdfb_pcen"):
         fe.tdfb = init_tdfb_params(
             matrix,
@@ -623,22 +602,22 @@ def build_frontend(cfg: RunConfig) -> Frontend:
             lowpass_stride=cfg.hop,
         )
     if cfg.frontend in PCEN_FRONTENDS:
-        fe.pcen = init_pcen_params(cfg.n_filters, learn=cfg.pcen_learn)
+        fe.pcen = init_pcen_params(cfg.n_filters)
     return fe
 
 
 def frontend_forward(fe: Frontend, wave: Waveform):
     """Returns (values (channels, frames), FrontendCache)."""
+    cfg = fe.config
     tdfb_cache = None
     if fe.tdfb is None:
-        energies = mel_energy_features(wave, fe.mel_config, fe.mel_matrix)
+        energies = mel_energy_features(wave, fe.mel_matrix, cfg.win_len, cfg.hop)
     else:
         energies, tdfb_cache = tdfb_forward(wave, fe.tdfb)
     values, cache = _compress(fe, energies, tdfb_cache)
     if fe.mvn:
         # Statistics come from the frames wholly inside the signal (at least
         # 2), so the zero padding does not shift or shrink them.
-        cfg = fe.mel_config
         n_stat = max(2, 1 + (wave.signal_len - cfg.win_len) // cfg.hop)
         values = mean_variance_normalize(FeatureMap(values), n_stat).values
     return values, cache
@@ -652,14 +631,12 @@ def _compress(fe: Frontend, energies: FeatureMap, tdfb_cache: TdfbCache | None):
 
 
 def frontend_backward(fe: Frontend, grad_values, cache: FrontendCache) -> dict:
-    """Gradients for the frontend's learnable tensors: the compression's
+    """Gradients for every tensor of frontend_tensors: the compression's
     backward, then the filterbank's. Empty for the fixed mel frontends."""
     grads = {}
     if fe.pcen is not None:
         grad_energy, *pcen_grads = pcen_backward(grad_values, cache.pcen)
-        names = ("pcen.alpha", "pcen.delta", "pcen.r")
-        learned = frontend_tensors(fe)
-        grads = {n: g for n, g in zip(names, pcen_grads) if n in learned}
+        grads = dict(zip(("pcen.alpha", "pcen.delta", "pcen.r"), pcen_grads))
     elif fe.tdfb is not None:
         grad_energy = grad_values / (1.0 + cache.tdfb.pooled)  # d log(1 + x)
     if fe.tdfb is not None:
@@ -667,16 +644,15 @@ def frontend_backward(fe: Frontend, grad_values, cache: FrontendCache) -> dict:
     return grads
 
 
-def frontend_tensors(fe: Frontend, frozen: bool = False) -> dict[str, np.ndarray]:
-    """The frontend's learnable tensors by name; frozen adds the PCEN
-    parameters that are not learned, which checkpoints also store."""
+def frontend_tensors(fe: Frontend) -> dict[str, np.ndarray]:
+    """The frontend's tensors by name: the filterbank taps and the PCEN
+    parameters, learned or not. make_train_state picks the learned ones."""
     tensors = {}
     if fe.tdfb is not None:
         tensors["tdfb.conv_taps"] = fe.tdfb.conv_taps
     if fe.pcen is not None:
         for name in ("alpha", "delta", "r"):
-            if frozen or getattr(fe.pcen, "learn_" + name):
-                tensors["pcen." + name] = getattr(fe.pcen, name)
+            tensors["pcen." + name] = getattr(fe.pcen, name)
     return tensors
 
 
@@ -689,35 +665,36 @@ class TrainState:
     config: RunConfig
     frontend: Frontend
     model: ModelParams
-    tensors: dict[str, np.ndarray]  # learnable tensors only
-    opt: OptimizerState
+    tensors: dict[str, np.ndarray]  # learned tensors only
+    velocities: dict[str, np.ndarray]  # momentum velocity of each learned tensor
     rng: np.random.Generator
 
 
 def checkpoint_tensors(state: TrainState) -> dict[str, np.ndarray]:
-    """Every tensor a checkpoint stores: model weights, all frontend
-    parameters (frozen ones included), and optimizer velocities."""
-    tensors = {**state.model.tensors(), **frontend_tensors(state.frontend, frozen=True)}
-    for name, vel in state.opt.velocities.items():
-        tensors["vel." + name] = vel
-    return tensors
+    """Every tensor a checkpoint stores: model weights and all frontend
+    parameters, the PCEN ones that are not learned included."""
+    return {**state.model.tensors(), **frontend_tensors(state.frontend)}
 
 
 def make_train_state(cfg: RunConfig) -> TrainState:
+    """A fresh state; the one place that decides which tensors learn: every
+    model and filterbank tensor, and the PCEN parameters in cfg.pcen_learn."""
     rng = np.random.default_rng(cfg.seed)
     frontend = build_frontend(cfg)
     model = init_model_params(
-        rng, cfg.n_filters, cfg.hidden_size, cfg.attn_size, cfg.n_labels
+        rng, cfg.n_filters, cfg.hidden_size, cfg.attn_size, len(LABELS)
     )
-    tensors = {**model.tensors(), **frontend_tensors(frontend)}
-    opt = init_optimizer(tensors, cfg.momentum, cfg.learning_rate)
-    return TrainState(cfg, frontend, model, tensors, opt, rng)
+    frozen = {"pcen." + p for p in PCEN_PARAM_NAMES if p not in cfg.pcen_learn}
+    params = {**model.tensors(), **frontend_tensors(frontend)}
+    tensors = {name: value for name, value in params.items() if name not in frozen}
+    velocities = {name: np.zeros_like(value) for name, value in tensors.items()}
+    return TrainState(cfg, frontend, model, tensors, velocities, rng)
 
 
 def prepare_waveform(w: Waveform, cfg: RunConfig) -> Waveform:
     """Fixed-duration padding followed by pre-emphasis; both feature paths
     consume the identical prepared signal."""
-    return preemphasis(pad_or_trim(w, cfg.clip_seconds), cfg.preemphasis_coeff)
+    return preemphasis(pad_or_trim(w, cfg.clip_seconds), PREEMPHASIS)
 
 
 def make_feature_provider(state: TrainState):
@@ -737,7 +714,7 @@ def make_feature_provider(state: TrainState):
             if fe.tdfb is None and fe.pcen is None:
                 held = frontend_forward(fe, held)[0]
             elif fe.tdfb is None:
-                held = mel_energy_features(held, fe.mel_config, fe.mel_matrix)
+                held = mel_energy_features(held, fe.mel_matrix, cfg.win_len, cfg.hop)
             fixed[utt.utt_id] = held
         if fe.tdfb is not None:
             return frontend_forward(fe, held)
@@ -758,8 +735,8 @@ def utterance_loss(state: TrainState, wave: Waveform, label_idx: int) -> float:
 def utterance_loss_and_grads(
     state: TrainState, wave: Waveform, label_idx: int, frontend_out=None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One full forward/backward pass; returns the loss and gradients for
-    every learnable tensor."""
+    """One full forward/backward pass; returns the loss and the gradients of
+    the learned tensors, named as state.tensors."""
     if frontend_out is None:
         frontend_out = frontend_forward(state.frontend, wave)
     values, fe_cache = frontend_out
@@ -767,14 +744,14 @@ def utterance_loss_and_grads(
     loss, grad_logits = cross_entropy_loss(logits, label_idx)
     grads, grad_values = classifier_backward(grad_logits, caches, state.model)
     grads.update(frontend_backward(state.frontend, grad_values, fe_cache))
-    return loss, grads
+    return loss, {name: grads[name] for name in state.tensors}
 
 
 def step_utterance(
     state: TrainState, wave: Waveform, label_idx: int, frontend_out=None
 ) -> float:
     loss, grads = utterance_loss_and_grads(state, wave, label_idx, frontend_out)
-    sgd_momentum_step(state.tensors, grads, state.opt)
+    sgd_momentum_step(state.tensors, grads, state.velocities)
     return loss
 
 
@@ -836,7 +813,7 @@ def evaluate(
 # Checkpoints
 
 _CKPT_MAGIC = b"WFCP"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 def write_atomic(path, chunks) -> None:
@@ -857,7 +834,8 @@ def write_atomic(path, chunks) -> None:
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Versioned binary container: named float64 tensors plus a JSON header
-    recording the config, its hash, seed, and epoch. Round-trips bit-exactly."""
+    recording the config, its hash, seed, and epoch. Round-trips bit-exactly.
+    Version 3 stores parameters only, no optimizer velocities."""
     names = sorted(tensors)
     arrays = [np.ascontiguousarray(tensors[n], dtype="<f8") for n in names]
     entries = [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)]
@@ -936,12 +914,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def state_from_checkpoint(path) -> TrainState:
-    """Rebuild a TrainState with all tensors (including frozen frontend
-    parameters and optimizer velocities) restored bit-exactly. A config
-    that no longer matches the header's config_hash, when it has one, raises
-    ConfigError."""
+    """Rebuild a TrainState with all parameters (the PCEN ones that are not
+    learned included) restored bit-exactly; the velocities start at zero. A
+    config that is invalid or no longer matches the header's config_hash,
+    when it has one, and a tensor missing, extra or of the wrong shape raise
+    ConfigError naming the file."""
     tensors, meta = load_checkpoint(path)
-    cfg = config_from_dict(meta["config"])
+    try:
+        cfg = config_from_dict(meta["config"])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     if "config_hash" in meta and meta["config_hash"] != config_hash(cfg):
         raise ConfigError(f"{path}: config does not match its config_hash")
     state = make_train_state(cfg)
@@ -954,7 +936,7 @@ def state_from_checkpoint(path) -> TrainState:
             raise ConfigError(f"{path}: checkpoint tensor '{name}' not used by config")
         if targets[name].shape != value.shape:
             raise ConfigError(
-                f"checkpoint tensor '{name}' has shape {value.shape}, "
+                f"{path}: checkpoint tensor '{name}' has shape {value.shape}, "
                 f"expected {targets[name].shape}"
             )
         targets[name][...] = value

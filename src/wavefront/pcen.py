@@ -5,9 +5,9 @@ each channel is then gain-normalized and root-compressed:
 
     out = (E / (eps + M)^alpha + delta)^|r| - delta^|r|
 
-alpha, delta, and r are per-channel and individually learnable; s and eps
-are fixed. delta is clamped to >= 0 at application time and only the
-magnitude of r is used.
+alpha, delta, and r are per-channel, each with its own gradient; which of
+them learn is the training state's choice. s and eps are fixed. delta is
+clamped to >= 0 at application time and only the magnitude of r is used.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class PcenParams:
     r: np.ndarray  # per-channel compression exponent, |r| used in forward
     s: float = 0.5  # smoother coefficient, fixed
     epsilon: float = 1e-6  # division guard, fixed
-    learn_alpha: bool = True
-    learn_delta: bool = True
-    learn_r: bool = True
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -68,20 +65,13 @@ def init_pcen_params(
     delta0: float = 2.0,
     s: float = 0.5,
     epsilon: float = 1e-6,
-    learn: tuple[str, ...] = ("r", "alpha", "delta"),
 ) -> PcenParams:
-    unknown = set(learn) - {"r", "alpha", "delta"}
-    if unknown:
-        raise ValueError(f"unknown learnable parameters: {sorted(unknown)}")
     return PcenParams(
         alpha=np.full(n_channels, alpha0),
         delta=np.full(n_channels, delta0),
         r=np.full(n_channels, r0),
         s=s,
         epsilon=epsilon,
-        learn_alpha="alpha" in learn,
-        learn_delta="delta" in learn,
-        learn_r="r" in learn,
     )
 
 
@@ -130,10 +120,10 @@ def pcen_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients (grad_E, grad_alpha, grad_delta, grad_r).
 
-    Includes backpropagation through the smoother recurrence. Frozen
-    parameters receive zero gradients. Subgradient choices: d|r|/dr = 0 at
-    r = 0, the delta clamp blocks gradient for delta <= 0, and the one-sided
-    infinite slope at base = 0 (for |r| < 1) is taken as 0.
+    Includes backpropagation through the smoother recurrence. Subgradient
+    choices: d|r|/dr = 0 at r = 0, the delta clamp blocks gradient for
+    delta <= 0, and the one-sided infinite slope at base = 0 (for |r| < 1)
+    is taken as 0.
     """
     p = cache.params
     g = np.asarray(grad_out, dtype=np.float64)
@@ -147,31 +137,21 @@ def pcen_backward(
     safe_base = np.where(base > 0, base, 1.0)
     dbase = g * np.where(base > 0, r_eff * safe_base ** (r_eff - 1.0), 0.0)
 
-    if p.learn_r:
-        log_base = np.where(base > 0, np.log(safe_base), 0.0)
-        dy_dr = np.where(base > 0, safe_base**r_eff * log_base, 0.0)
-        safe_delta = np.where(delta_eff > 0, delta_eff, 1.0)
-        dy_dr = dy_dr - np.where(
-            delta_eff > 0, safe_delta**r_eff * np.log(safe_delta), 0.0
-        )
-        grad_r = (g * dy_dr).sum(axis=1) * np.sign(p.r)
-    else:
-        grad_r = np.zeros_like(p.r)
+    log_base = np.where(base > 0, np.log(safe_base), 0.0)
+    dy_dr = np.where(base > 0, safe_base**r_eff * log_base, 0.0)
+    safe_delta = np.where(delta_eff > 0, delta_eff, 1.0)
+    dy_dr = dy_dr - np.where(
+        delta_eff > 0, safe_delta**r_eff * np.log(safe_delta), 0.0
+    )
+    grad_r = (g * dy_dr).sum(axis=1) * np.sign(p.r)
 
-    if p.learn_delta:
-        safe_delta = np.where(delta_eff > 0, delta_eff, 1.0)
-        pow_delta = np.where(delta_eff > 0, safe_delta ** (r_eff - 1.0), 0.0)
-        pow_base = np.where(base > 0, safe_base ** (r_eff - 1.0), 0.0)
-        ddelta = (g * r_eff * (pow_base - pow_delta)).sum(axis=1)
-        grad_delta = np.where(p.delta > 0, ddelta, 0.0)
-    else:
-        grad_delta = np.zeros_like(p.delta)
+    pow_delta = np.where(delta_eff > 0, safe_delta ** (r_eff - 1.0), 0.0)
+    pow_base = np.where(base > 0, safe_base ** (r_eff - 1.0), 0.0)
+    ddelta = (g * r_eff * (pow_base - pow_delta)).sum(axis=1)
+    grad_delta = np.where(p.delta > 0, ddelta, 0.0)
 
     log_denom_arg = np.log(p.epsilon + cache.smooth)
-    if p.learn_alpha:
-        grad_alpha = -(dbase * cache.gain * log_denom_arg).sum(axis=1)
-    else:
-        grad_alpha = np.zeros_like(p.alpha)
+    grad_alpha = -(dbase * cache.gain * log_denom_arg).sum(axis=1)
 
     grad_energy = dbase / cache.denom
     dm_direct = -p.alpha[:, None] * dbase * cache.gain / (p.epsilon + cache.smooth)

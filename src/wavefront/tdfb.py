@@ -30,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import Waveform, squared_hanning_window
+from .errors import NumericError
 from .melfb import (
     FeatureMap,
     MelFilterbankMatrix,
@@ -176,6 +177,7 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
 
     Returns the pre-compression energies (n_filters, n_frames) and the cache
     needed by tdfb_backward. n_frames = (len(w) - lowpass_width) // lowpass_stride + 1.
+    Energies that overflow raise NumericError naming the filter and frame.
     """
     x = w.samples
     n = x.size
@@ -215,12 +217,17 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     # One buffer, transformed in place and reused by every filter: a fresh
     # temporary per filter would be trimmed by the allocator and refaulted.
     y = np.empty((n_live, block), dtype=np.complex128)
-    for f, spec in enumerate(taps_spec):
-        c = np.multiply(spec, spectra, out=y)
-        np.fft.ifft(c, out=c)
-        np.square(c.real[:, :step], out=e)  # modulus then square, fused
-        e += np.square(c.imag[:, :step], out=c.imag[:, :step])
-        pooled[f] = _lowpass(energy[:width], slots, n_frames)
+    # An overflow is reported once, as the NumericError below, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, spec in enumerate(taps_spec):
+            c = np.multiply(spec, spectra, out=y)
+            np.fft.ifft(c, out=c)
+            np.square(c.real[:, :step], out=e)  # modulus then square, fused
+            e += np.square(c.imag[:, :step], out=c.imag[:, :step])
+            pooled[f] = _lowpass(energy[:width], slots, n_frames)
+    if not np.all(np.isfinite(pooled)):
+        f, fr = np.argwhere(~np.isfinite(pooled))[0]
+        raise NumericError(f"non-finite filterbank energy at filter {f}, frame {fr}")
     return FeatureMap(pooled), TdfbCache(p, n, spectra, taps_spec, pooled)
 
 

@@ -241,20 +241,31 @@ class TestExtractCommand:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("old", ["version-1", "attn2.b"])
+    @pytest.mark.parametrize(
+        "old", ["version-1", "attn2.b", "version-2", "vel", "n_labels", "out.w rows"]
+    )
     def test_old_checkpoints_are_refused(self, old, zero_wav, tmp_path, capsys):
-        """A checkpoint of the version-1 format, or a version-2 one that
-        still carries the removed attention score bias, exits 2 with one
-        stderr line."""
+        """A checkpoint of the version-1 or version-2 format, and a version-3
+        one that carries the removed attention score bias, a momentum
+        velocity, the removed n_labels setting or an output layer of 3
+        labels, exits 2 with one stderr line that names the file."""
         state = net.make_train_state(net.make_run_config("mel"))
         tensors = net.checkpoint_tensors(state)
+        config = net.config_to_dict(state.config)
         if old == "attn2.b":
-            tensors.update({"attn2.b": np.zeros(1), "vel.attn2.b": np.zeros(1)})
+            tensors["attn2.b"] = np.zeros(1)
+        if old in ("version-2", "vel"):
+            tensors.update({"vel." + k: np.zeros_like(v) for k, v in state.tensors.items()})
+        if old in ("n_labels", "out.w rows"):
+            tensors.update({"out.w": np.zeros((3, 60)), "out.b": np.zeros(3)})
+        if old == "n_labels":
+            config["n_labels"] = 3
         path = tmp_path / "old.ckpt"
-        net.save_checkpoint(path, tensors, {"config": net.config_to_dict(state.config)})
-        if old == "version-1":
+        net.save_checkpoint(path, tensors, {"config": config})
+        if old in ("version-1", "version-2"):
             blob = path.read_bytes()
-            path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+            version = int(old[-1])
+            path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         code = run_cli(["extract", "--wav", str(zero_wav), "--checkpoint", str(path),
                         "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
@@ -462,7 +473,7 @@ class TestInspectCommand:
         [({"dropout": 0.5}, "unknown config keys: dropout"),
          ({"epochs": -5}, "epochs must be >= 0"),
          ({"hop": 0}, "hop must be a positive integer, got 0"),
-         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0"),
+         ({"patience": 0}, "patience must be >= 1"),
          # valid values, but not the config the checkpoint was trained with
          ({"hop": 10**30}, "bad.ckpt: config does not match its config_hash"),
          ({"clip_seconds": 30.0}, "bad.ckpt: config does not match its config_hash"),
@@ -492,6 +503,7 @@ class TestInspectCommand:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1 and message in proc.stderr
+        assert str(bad) in proc.stderr
 
 
     @pytest.mark.parametrize(
@@ -534,6 +546,70 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and str(bad) in err
+
+
+def test_overflowing_filterbank_is_a_numeric_error(small_corpus, tmp_path):
+    """Taps scaled by 1e160 overflow the filterbank energies: `extract` and
+    `eval` exit 4 with one stderr line, no warnings, naming the filter and
+    the frame."""
+    manifest, root = small_corpus
+    state = net.make_train_state(net.make_run_config("tdfb"))
+    state.frontend.tdfb.conv_taps *= 1e160
+    path = tmp_path / "loud.ckpt"
+    net.save_checkpoint(
+        path, net.checkpoint_tensors(state), {"config": net.config_to_dict(state.config)}
+    )
+    for args in (
+        ["extract", "--wav", manifest.records[0].path, "--out", str(tmp_path / "x.csv")],
+        ["eval", "--manifest", str(root / "manifest.csv"), "--split", "test"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavefront.cli", *args, "--checkpoint", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "non-finite filterbank energy at filter 0, frame " in proc.stderr
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command", ["eval", "extract", "inspect"])
+    def test_failed_replace_keeps_earlier_output(
+        self, command, trained_mel_run, small_corpus, zero_wav, init_checkpoint,
+        tmp_path, monkeypatch, capsys,
+    ):
+        """When os.replace is refused, the command exits 3 with one stderr
+        line, an earlier file at its output path stays whole, and no temp
+        file is left."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = {
+            "eval": ["eval", "--checkpoint", str(trained_mel_run / "checkpoint.ckpt"),
+                     "--manifest", str(small_corpus[1] / "manifest.csv"),
+                     "--split", "test", "--out", str(out_dir / "report.json")],
+            "extract": ["extract", "--wav", str(zero_wav), "--frontend", "mel",
+                        "--out", str(out_dir / "features.csv")],
+            "inspect": ["inspect", "--checkpoint", str(init_checkpoint),
+                        "--out-dir", str(out_dir)],
+        }[command]
+        names = {
+            "eval": ["report.json"],
+            "extract": ["features.csv"],
+            "inspect": ["filter_scale.csv", "filter_taps.csv", "pcen_compression.csv"],
+        }[command]
+        for name in names:
+            (out_dir / name).write_text("earlier\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(net.os, "replace", refuse)
+        assert run_cli(args) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted(f.name for f in out_dir.iterdir()) == sorted(names)
+        for name in names:
+            assert (out_dir / name).read_text() == "earlier\n"
 
 
 @pytest.fixture(scope="module")
