@@ -87,6 +87,13 @@ def preemphasis(w: Waveform, coeff: float) -> Waveform:
     return Waveform(out, w.sample_rate, w.n_signal)
 
 
+def last_nonzero(samples: np.ndarray) -> int:
+    """Index of the last nonzero entry of a 1-D array, or -1 if there is
+    none. Builds one boolean mask, not np.flatnonzero's index array."""
+    i = samples.size - 1 - int(np.argmax((samples != 0)[::-1]))
+    return i if samples[i] != 0 else -1
+
+
 def frame_signal(w: Waveform, win_len: int, hop: int) -> np.ndarray:
     """Slice into full overlapping frames; trailing samples that do not fill
     a window are dropped. Returns an (n_frames, win_len) array."""

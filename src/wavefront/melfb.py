@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, frame_signal, hanning_window, power_spectrum
+from .dsp import Waveform, frame_signal, hanning_window, last_nonzero, power_spectrum
 
 @dataclass(frozen=True)
 class MelFilterbankMatrix:
@@ -102,8 +102,7 @@ def mel_energy_features(
     taps = hanning_window(win_len).taps
     # Frames that start past the last nonzero sample hold only zeros, and
     # so do their energies: only frames 0 .. last // hop are transformed.
-    nonzero = np.flatnonzero(w.samples)
-    n_live = (nonzero[-1] if nonzero.size else 0) // hop + 1
+    n_live = max(last_nonzero(w.samples), 0) // hop + 1
     live = Waveform(w.samples[: (n_live - 1) * hop + win_len], w.sample_rate)
     # The unwindowed frames are freed before the transform runs, which
     # lowers the peak memory of a feature pass by one frame matrix.

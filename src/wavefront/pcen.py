@@ -104,10 +104,13 @@ def pcen_forward(
     m = _smooth(v, p.s)
     r_eff = np.abs(p.r)[:, None]
     delta_eff = np.maximum(p.delta, 0.0)[:, None]
-    denom = (p.epsilon + m) ** p.alpha[:, None]
-    gain = v / denom
-    base = gain + delta_eff
-    out = base**r_eff - delta_eff**r_eff
+    # A non-finite output is reported once, as the NumericError below, not
+    # as warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = (p.epsilon + m) ** p.alpha[:, None]
+        gain = v / denom
+        base = gain + delta_eff
+        out = base**r_eff - delta_eff**r_eff
     if not np.all(np.isfinite(out)):
         ch, fr = np.argwhere(~np.isfinite(out))[0]
         raise NumericError(f"non-finite PCEN output at channel {ch}, frame {fr}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import Waveform, squared_hanning_window
+from .dsp import Waveform, last_nonzero, squared_hanning_window
 from .errors import NumericError
 from .melfb import (
     FeatureMap,
@@ -196,10 +196,8 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     # correlation's spectrum is DFT(taps)[-f] X[f] = conj(DFT(conj taps)) X.
     # Outputs past the last nonzero input sample (t > pad_left + last) read
     # only zeros, so blocks from n_live on are exactly zero and skipped.
-    nonzero = np.flatnonzero(x)
-    n_live = (
-        min(n_blocks, -(-(pad_left + nonzero[-1] + 1) // step)) if nonzero.size else 0
-    )
+    last = last_nonzero(x)
+    n_live = min(n_blocks, -(-(pad_left + last + 1) // step)) if last >= 0 else 0
     xp = np.zeros((n_blocks - 1) * step + block)
     xp[pad_left : pad_left + n] = x
     spectra = np.fft.fft(sliding_window_view(xp, block)[::step][:n_live])
@@ -214,8 +212,8 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     # taps; columns past the live blocks stay zero.
     energy = np.zeros(max(width, n_live * step))
     e = energy[: n_live * step].reshape(n_live, step)
-    # One buffer, transformed in place and reused by every filter: a fresh
-    # temporary per filter would be trimmed by the allocator and refaulted.
+    # One buffer, transformed in place and reused by every filter, so the
+    # filter loop works in the same cache-sized memory.
     y = np.empty((n_live, block), dtype=np.complex128)
     # An overflow is reported once, as the NumericError below, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):

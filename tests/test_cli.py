@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -548,14 +549,11 @@ class TestInspectCommand:
         assert err.count("\n") == 1 and str(bad) in err
 
 
-def test_overflowing_filterbank_is_a_numeric_error(small_corpus, tmp_path):
-    """Taps scaled by 1e160 overflow the filterbank energies: `extract` and
-    `eval` exit 4 with one stderr line, no warnings, naming the filter and
-    the frame."""
+def assert_one_line_numeric_error(state, small_corpus, tmp_path, message):
+    """`extract` and `eval` from a checkpoint of `state` exit 4, and stderr
+    is one line, no numpy warnings, that fully matches the regex `message`."""
     manifest, root = small_corpus
-    state = net.make_train_state(net.make_run_config("tdfb"))
-    state.frontend.tdfb.conv_taps *= 1e160
-    path = tmp_path / "loud.ckpt"
+    path = tmp_path / "bad.ckpt"
     net.save_checkpoint(
         path, net.checkpoint_tensors(state), {"config": net.config_to_dict(state.config)}
     )
@@ -569,8 +567,29 @@ def test_overflowing_filterbank_is_a_numeric_error(small_corpus, tmp_path):
             text=True,
         )
         assert proc.returncode == 4
-        assert proc.stderr.count("\n") == 1, proc.stderr
-        assert "non-finite filterbank energy at filter 0, frame " in proc.stderr
+        assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
+
+
+def test_overflowing_filterbank_is_a_numeric_error(small_corpus, tmp_path):
+    """Taps scaled by 1e160 overflow the filterbank energies: the error
+    names the filter and the frame."""
+    state = net.make_train_state(net.make_run_config("tdfb"))
+    state.frontend.tdfb.conv_taps *= 1e160
+    assert_one_line_numeric_error(
+        state, small_corpus, tmp_path,
+        r"non-finite filterbank energy at filter 0, frame \d+",
+    )
+
+
+def test_overflowing_pcen_is_a_numeric_error(small_corpus, tmp_path):
+    """alpha = -400 overflows (eps + M)^alpha: the error names the channel
+    and the frame."""
+    state = net.make_train_state(net.make_run_config("mel_pcen"))
+    state.frontend.pcen.alpha[:] = -400.0
+    assert_one_line_numeric_error(
+        state, small_corpus, tmp_path,
+        r"non-finite PCEN output at channel \d+, frame \d+",
+    )
 
 
 class TestAtomicOutputs:

@@ -10,6 +10,7 @@ from wavefront.dsp import (
     Waveform,
     frame_signal,
     hanning_window,
+    last_nonzero,
     power_spectrum,
     preemphasis,
     squared_hanning_window,
@@ -170,6 +171,33 @@ class TestPowerSpectrum:
         # interior bins represent a conjugate pair each
         total = ps[0] + ps[-1] + 2 * ps[1:-1].sum()
         assert total == pytest.approx(n * np.sum(x**2), rel=1e-9)
+
+
+class TestLastNonzero:
+    """Against the index array it replaces: np.flatnonzero(x)[-1]."""
+
+    @staticmethod
+    def oracle(x):
+        nonzero = np.flatnonzero(x)
+        return int(nonzero[-1]) if nonzero.size else -1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_zero_tails(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(40000)
+        x[rng.integers(1, 40000) :] = 0.0
+        x[rng.random(40000) < 0.01] = 0.0  # zeros inside the signal too
+        assert last_nonzero(x) == self.oracle(x)
+
+    def test_all_zero(self):
+        assert last_nonzero(np.zeros(40000)) == self.oracle(np.zeros(40000)) == -1
+
+    @pytest.mark.parametrize("n", [1, 2, 40000])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_single_nonzero_sample(self, n, at_end):
+        x = np.zeros(n)
+        x[n - 1 if at_end else 0] = -1e-300
+        assert last_nonzero(x) == self.oracle(x) == (n - 1 if at_end else 0)
 
 
 class TestFftKernel:
