@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p_grad.add_argument("op", nargs="?", default="all")
     p_grad.add_argument("--seed", type=int, default=0)
 
     p_synth = sub.add_parser("synth", help="generate the synthetic corpus")
@@ -299,12 +298,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rows = net.run_gradcheck(args.op, seed=args.seed)
-    width = max(len(f"{r.op}/{r.tensor}") for r in rows)
+    rows = net.run_gradcheck(args.seed)
+    width = max(len(f"{r.config}/{r.tensor}") for r in rows)
     failed = 0
     for r in rows:
         status = "ok" if r.passed else "FAIL"
-        name = f"{r.op}/{r.tensor}"
+        name = f"{r.config}/{r.tensor}"
         print(f"{name:<{width}}  max rel err {r.max_rel_err:.3e}  {status}")
         failed += 0 if r.passed else 1
     limit = f"max rel err < {net.GRADCHECK_THRESHOLD:.0e}"

@@ -5,6 +5,8 @@ unweighted average recall metric."""
 from __future__ import annotations
 
 import csv
+import io
+import math
 import os
 import wave
 from dataclasses import dataclass
@@ -36,11 +38,6 @@ class Manifest:
 
     def split(self, name: str) -> list[Utterance]:
         return [r for r in self.records if r.split == name]
-
-    def speakers(self, split: str | None = None) -> set[str]:
-        return {
-            r.speaker for r in self.records if split is None or r.split == split
-        }
 
 
 def read_wav(path, expected_sample_rate: int = 16000) -> Waveform:
@@ -128,15 +125,23 @@ def save_manifest(m: Manifest, path, relative_to=None) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    """Load a manifest CSV; relative utterance paths resolve against the
-    manifest's directory. An id may appear on one row only, as training
-    caches each utterance's features by id."""
+    """Load a UTF-8 manifest CSV; relative utterance paths resolve against
+    the manifest's directory. An id may appear on one row only, as training
+    caches each utterance's features by id. A byte that is not UTF-8 and a
+    row the csv module cannot parse raise ValidationError naming the file
+    and the line."""
     path = Path(path)
     base = path.parent
     records = []
     first_line: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ValidationError(f"{path}: line {line} is not UTF-8: {e.reason}") from e
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None or tuple(header) != MANIFEST_FIELDS:
             raise ValidationError(
@@ -159,6 +164,8 @@ def load_manifest(path) -> Manifest:
             if not os.path.isabs(p):
                 p = str(base / p)
             records.append(Utterance(utt_id, p, label, speaker, split))
+    except csv.Error as e:
+        raise ValidationError(f"{path}: line {reader.line_num}: {e}") from e
     return Manifest(records)
 
 
@@ -194,37 +201,47 @@ def validate_manifest(m: Manifest, check_files: bool = True) -> dict:
     return {"splits": counts, "n_records": len(m.records)}
 
 
+# The fixed part of the synthetic corpus: class bands at 2 and 6.5 kHz, each
+# burst a sum of sinusoids around its speaker's band center. Per-speaker gain
+# and band offset keep utterance energy from identifying the class alone.
+SYNTH_SAMPLE_RATE = 16000
+SYNTH_BAND_CENTERS_HZ = (2000.0, 6500.0)
+SYNTH_BAND_WIDTH_HZ = 400.0
+SYNTH_DURATION_S = (1.2, 2.3)
+SYNTH_SINUSOIDS = 24
+SYNTH_SPEAKER_GAIN = (0.35, 0.9)
+SYNTH_SPEAKER_JITTER_HZ = 120.0
+SYNTH_BURST_RMS = 0.22
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Two-class corpus of band-limited noise bursts with speaker nuisance.
-
-    Class bands sit at 2 kHz and 6.5 kHz; per-speaker gain and a per-speaker
-    band offset keep utterance energy from identifying the class on its own.
-    """
+    """The settable part of the two-class synthetic corpus (see the SYNTH_
+    constants for the rest): the seed, the utterances per class in each
+    split, the speakers per class in each split, and the level of the white
+    noise added to every clip. Each is checked when the spec is built."""
 
     seed: int = 0
     n_train_per_class: int = 8
     n_valid_per_class: int = 4
     n_test_per_class: int = 4
-    band_centers_hz: tuple[float, float] = (2000.0, 6500.0)
-    band_width_hz: float = 400.0
-    noise_floor: float = 0.05
     n_speakers_per_class: int = 4
-    sample_rate: int = 16000
-    min_duration_s: float = 1.2
-    max_duration_s: float = 2.3
-    n_sinusoids: int = 24
-    speaker_gain_range: tuple[float, float] = (0.35, 0.9)
-    speaker_band_jitter_hz: float = 120.0
-    burst_rms: float = 0.22
+    noise_floor: float = 0.05
 
     def __post_init__(self):
-        nyquist = self.sample_rate / 2.0
-        for c in self.band_centers_hz:
-            if not 0.0 < c < nyquist:
-                raise ValueError(f"band center {c} outside (0, {nyquist})")
+        for name in (
+            "seed", "n_train_per_class", "n_valid_per_class", "n_test_per_class"
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_speakers_per_class < 1:
-            raise ValueError("need at least one speaker per class")
+            raise ValueError(
+                f"n_speakers_per_class must be >= 1, got {self.n_speakers_per_class}"
+            )
+        if not (math.isfinite(self.noise_floor) and self.noise_floor >= 0):
+            raise ValueError(
+                f"noise_floor must be finite and >= 0, got {self.noise_floor}"
+            )
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
@@ -234,7 +251,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
-    sr = spec.sample_rate
+    sr = SYNTH_SAMPLE_RATE
 
     counts = {
         "train": spec.n_train_per_class,
@@ -249,10 +266,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
         for ci in range(len(LABELS)):
             cell = []
             for _ in range(spec.n_speakers_per_class):
-                gain = rng.uniform(*spec.speaker_gain_range)
-                offset = rng.uniform(
-                    -spec.speaker_band_jitter_hz, spec.speaker_band_jitter_hz
-                )
+                gain = rng.uniform(*SYNTH_SPEAKER_GAIN)
+                offset = rng.uniform(-SYNTH_SPEAKER_JITTER_HZ, SYNTH_SPEAKER_JITTER_HZ)
                 cell.append((f"spk{spk_counter:02d}", gain, offset))
                 spk_counter += 1
             speakers[(split, ci)] = cell
@@ -263,21 +278,18 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
             cell = speakers[(split, ci)]
             for i in range(counts[split]):
                 spk_id, gain, offset = cell[i % len(cell)]
-                duration = rng.uniform(spec.min_duration_s, spec.max_duration_s)
+                duration = rng.uniform(*SYNTH_DURATION_S)
                 n = int(round(duration * sr))
-                center = spec.band_centers_hz[ci] + offset
-                freqs = center + rng.uniform(
-                    -spec.band_width_hz / 2.0,
-                    spec.band_width_hz / 2.0,
-                    spec.n_sinusoids,
-                )
-                phases = rng.uniform(0.0, 2.0 * np.pi, spec.n_sinusoids)
+                center = SYNTH_BAND_CENTERS_HZ[ci] + offset
+                half_width = SYNTH_BAND_WIDTH_HZ / 2.0
+                freqs = center + rng.uniform(-half_width, half_width, SYNTH_SINUSOIDS)
+                phases = rng.uniform(0.0, 2.0 * np.pi, SYNTH_SINUSOIDS)
                 # One sinusoid at a time, so only clip-length vectors are held.
                 omega_t = 2.0 * np.pi * (np.arange(n) / sr)
                 burst = np.zeros(n)
                 for freq, phase in zip(freqs, phases):
                     burst += np.sin(omega_t * freq + phase)
-                burst *= spec.burst_rms / np.sqrt(np.mean(burst**2))
+                burst *= SYNTH_BURST_RMS / np.sqrt(np.mean(burst**2))
                 x = burst * gain * rng.uniform(0.8, 1.2)
                 x = x + spec.noise_floor * rng.standard_normal(n)
                 np.clip(x, -0.999, 0.999, out=x)

@@ -11,15 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-HANNING = "hanning"
-SQUARED_HANNING = "squared_hanning"
-
-
-@dataclass(frozen=True)
-class Window:
-    taps: np.ndarray
-    kind: str
-
 
 @dataclass
 class Waveform:
@@ -49,30 +40,23 @@ class Waveform:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
     def signal_len(self) -> int:
         """Sample count of the clip's own audio, padding excluded."""
         return self.samples.size if self.n_signal is None else self.n_signal
 
 
-def hanning_window(n_taps: int) -> Window:
-    """Symmetric Hann window; the degenerate 1-tap window is [1]."""
+def hanning_window(n_taps: int) -> np.ndarray:
+    """Symmetric Hann window taps; the degenerate 1-tap window is [1]."""
     if n_taps < 1:
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
     if n_taps == 1:
-        taps = np.ones(1)
-    else:
-        i = np.arange(n_taps)
-        taps = 0.5 * (1.0 - np.cos(2.0 * np.pi * i / (n_taps - 1)))
-    return Window(taps=taps, kind=HANNING)
+        return np.ones(1)
+    i = np.arange(n_taps)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * i / (n_taps - 1)))
 
 
-def squared_hanning_window(n_taps: int) -> Window:
-    taps = hanning_window(n_taps).taps ** 2
-    return Window(taps=taps, kind=SQUARED_HANNING)
+def squared_hanning_window(n_taps: int) -> np.ndarray:
+    return hanning_window(n_taps) ** 2
 
 
 def preemphasis(w: Waveform, coeff: float) -> Waveform:

@@ -37,14 +37,6 @@ class FeatureMap:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature map contains NaN or Inf")
 
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
 
 def mel_scale(f_hz):
     """Hz -> mel, 2595 * log10(1 + f / 700)."""
@@ -63,24 +55,16 @@ def mel_scale_inv(m):
 
 
 def mel_filterbank_matrix(
-    n_filters: int = 64,
-    n_fft: int = 512,
-    sample_rate: int = 16000,
-    f_min: float = 0.0,
-    f_max: float = 8000.0,
+    n_filters: int = 64, n_fft: int = 512, sample_rate: int = 16000
 ) -> MelFilterbankMatrix:
-    """Triangular filters with unit peak height, centers equally spaced in mel.
+    """Triangular filters with unit peak height, centers equally spaced in mel
+    between 0 Hz and Nyquist.
 
     Filter n rises linearly from grid point n-1 to its center at grid point n
     and falls to grid point n+1, evaluated at FFT-bin frequencies.
     """
-    nyquist = sample_rate / 2.0
-    if not 0.0 <= f_min < f_max:
-        raise ValueError(f"need 0 <= f_min < f_max, got [{f_min}, {f_max}]")
-    if f_max > nyquist:
-        raise ValueError(f"f_max {f_max} exceeds Nyquist {nyquist}")
     grid_hz = mel_scale_inv(
-        np.linspace(mel_scale(f_min), mel_scale(f_max), n_filters + 2)
+        np.linspace(mel_scale(0.0), mel_scale(sample_rate / 2.0), n_filters + 2)
     )
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     weights = np.zeros((n_filters, n_fft // 2 + 1))
@@ -99,7 +83,7 @@ def mel_energy_features(
     samples, projected through the filterbank (whose n_fft sets the
     transform length), no compression. This is the input expected by energy
     normalization."""
-    taps = hanning_window(win_len).taps
+    taps = hanning_window(win_len)
     # Frames that start past the last nonzero sample hold only zeros, and
     # so do their energies: only frames 0 .. last // hop are transformed.
     n_live = max(last_nonzero(w.samples), 0) // hop + 1
@@ -113,38 +97,22 @@ def mel_energy_features(
     return FeatureMap(energies)
 
 
-def log_mel_features(
-    w: Waveform, matrix: MelFilterbankMatrix, win_len: int, hop: int
-) -> FeatureMap:
-    """log(1 + mel energy); the add-1 keeps zero input at exactly zero output
-    and matches the compression used by the learnable path."""
-    energies = mel_energy_features(w, matrix, win_len, hop)
-    return FeatureMap(np.log1p(energies.values))
-
-
-def mean_variance_normalize(
-    fm: FeatureMap, n_stat_frames: int | None = None
-) -> FeatureMap:
-    """Per-channel standardization over frames (population std); channels with
-    std below 1e-8 are centered only.
-
-    n_stat_frames, when given, takes each channel's mean and std from the
-    first n_stat_frames frames only (the clip's own frames, say, before its
-    zero padding) and applies them to every frame. It must be in
-    [2, n_frames]; None takes the statistics over all frames.
+def mean_variance_normalize(values: np.ndarray, n_stat_frames: int) -> np.ndarray:
+    """Per-channel standardization of (channels, frames) values, with each
+    channel's mean and population std taken from its first n_stat_frames
+    frames (the clip's own frames, say, before its zero padding) and applied
+    to every frame. Channels with std below 1e-8 are centered only.
+    n_stat_frames must be in [2, n_frames].
     """
-    v = fm.values
-    if v.shape[1] < 2:
+    n_frames = values.shape[1]
+    if n_frames < 2:
         raise ValueError("mean-variance normalization needs at least 2 frames")
-    stats = v
-    if n_stat_frames is not None:
-        if not 2 <= n_stat_frames <= v.shape[1]:
-            raise ValueError(
-                f"n_stat_frames must be in [2, {v.shape[1]}], got {n_stat_frames}"
-            )
-        stats = v[:, :n_stat_frames]
+    if not 2 <= n_stat_frames <= n_frames:
+        raise ValueError(
+            f"n_stat_frames must be in [2, {n_frames}], got {n_stat_frames}"
+        )
+    stats = values[:, :n_stat_frames]
     mean = stats.mean(axis=1, keepdims=True)
     std = stats.std(axis=1, keepdims=True)
     degenerate = std < 1e-8
-    out = (v - mean) / np.where(degenerate, 1.0, std)
-    return FeatureMap(out)
+    return (values - mean) / np.where(degenerate, 1.0, std)

@@ -132,6 +132,8 @@ def make_run_config(frontend: str, pcen_learn=None, **kwargs) -> RunConfig:
             )
         pcen_learn = ()
     cfg = RunConfig(frontend=frontend, pcen_learn=pcen_learn, **kwargs)
+    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.epochs < 0:
         raise ConfigError("epochs must be >= 0")
     if cfg.patience < 1:
@@ -590,9 +592,7 @@ class FrontendCache:
 
 
 def build_frontend(cfg: RunConfig) -> Frontend:
-    matrix = mel_filterbank_matrix(
-        cfg.n_filters, cfg.n_fft, cfg.sample_rate, 0.0, cfg.sample_rate / 2.0
-    )
+    matrix = mel_filterbank_matrix(cfg.n_filters, cfg.n_fft, cfg.sample_rate)
     fe = Frontend(cfg, matrix, mvn=cfg.frontend == "mel_mvn")
     if cfg.frontend in ("tdfb", "tdfb_pcen"):
         fe.tdfb = init_tdfb_params(
@@ -619,7 +619,7 @@ def frontend_forward(fe: Frontend, wave: Waveform):
         # Statistics come from the frames wholly inside the signal (at least
         # 2), so the zero padding does not shift or shrink them.
         n_stat = max(2, 1 + (wave.signal_len - cfg.win_len) // cfg.hop)
-        values = mean_variance_normalize(FeatureMap(values), n_stat).values
+        values = mean_variance_normalize(values, n_stat)
     return values, cache
 
 
@@ -755,10 +755,9 @@ def step_utterance(
     return loss
 
 
-def predict_label(state: TrainState, wave: Waveform, features=None) -> int:
-    """Label index for one utterance, as a batch of one."""
-    if features is None:
-        features, _ = frontend_forward(state.frontend, wave)
+def predict_label(state: TrainState, wave: Waveform) -> int:
+    """Label index for one prepared waveform, as a batch of one."""
+    features, _ = frontend_forward(state.frontend, wave)
     return int(np.argmax(predict_logits(features.T[:, None, :], state.model)[0]))
 
 
@@ -775,19 +774,14 @@ class EvalResult:
     predictions: list[str]
 
 
-def evaluate(
-    state: TrainState, utterances: list[Utterance], wave_provider=None
-) -> EvalResult:
-    """Deterministic evaluation in the given utterance order, in batches of
-    PREDICT_BATCH. wave_provider(utt) defaults to the prepared WAV file."""
-    if wave_provider is None:
-        cfg = state.config
-
-        def wave_provider(utt):
-            return prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
+def evaluate(state: TrainState, utterances: list[Utterance]) -> EvalResult:
+    """Deterministic evaluation of the utterances' WAV files in the given
+    order, in batches of PREDICT_BATCH."""
+    cfg = state.config
 
     def features_of(utt):
-        return frontend_forward(state.frontend, wave_provider(utt))[0]
+        wave = prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
+        return frontend_forward(state.frontend, wave)[0]
 
     logits = batched_logits(state.model, utterances, features_of)
     predictions = [LABELS[i] for i in np.argmax(logits, axis=1)]
@@ -949,7 +943,6 @@ def state_from_checkpoint(path) -> TrainState:
 
 @dataclass
 class TrainResult:
-    config: RunConfig
     best_epoch: int
     best_valid_uar: float
     log_rows: list[tuple[int, float, float]]
@@ -1022,7 +1015,6 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
     write_atomic(out_dir / "config.json", [config_json.encode()])
 
     return TrainResult(
-        config=cfg,
         best_epoch=best_epoch,
         best_valid_uar=best_uar,
         log_rows=log_rows,
@@ -1037,28 +1029,31 @@ def run_experiment(
     """Train every (frontend, pcen_learn) config once per seed into
     out_dir/<label>_s<seed>, then score the best checkpoint on the test
     split. One record per run, in config-then-seed order; a repeated config
-    or seed is refused before anything trains."""
+    or seed, and an invalid one, is refused before anything trains."""
     labels = [config_label(frontend, learn) for frontend, learn in configs]
     for what, items in (("config", labels), ("seed", seeds)):
         repeated = sorted({x for x in items if items.count(x) > 1})
         if repeated:
             raise ConfigError(f"repeated {what}: {', '.join(map(str, repeated))}")
+    runs = [
+        (label, make_run_config(
+            frontend, learn, seed=seed, epochs=epochs, patience=patience
+        ))
+        for (frontend, learn), label in zip(configs, labels)
+        for seed in seeds
+    ]
     records = []
-    for (frontend, learn), label in zip(configs, labels):
-        for seed in seeds:
-            cfg = make_run_config(
-                frontend, learn, seed=seed, epochs=epochs, patience=patience
-            )
-            t0 = time.perf_counter()
-            result = train_run(manifest, cfg, Path(out_dir) / f"{label}_s{seed}")
-            train_s = time.perf_counter() - t0
-            state = state_from_checkpoint(result.checkpoint_path)
-            records.append(dict(
-                config=label, seed=seed, best_epoch=result.best_epoch,
-                best_valid_uar=result.best_valid_uar,
-                test_uar=evaluate(state, manifest.split("test")).uar,
-                train_s=train_s, checkpoint=result.checkpoint_path,
-            ))
+    for label, cfg in runs:
+        t0 = time.perf_counter()
+        result = train_run(manifest, cfg, Path(out_dir) / f"{label}_s{cfg.seed}")
+        train_s = time.perf_counter() - t0
+        state = state_from_checkpoint(result.checkpoint_path)
+        records.append(dict(
+            config=label, seed=cfg.seed, best_epoch=result.best_epoch,
+            best_valid_uar=result.best_valid_uar,
+            test_uar=evaluate(state, manifest.split("test")).uar,
+            train_s=train_s, checkpoint=result.checkpoint_path,
+        ))
     return records
 
 
@@ -1110,7 +1105,7 @@ GRADCHECK_THRESHOLD = 1e-5
 
 @dataclass(frozen=True)
 class GradcheckRow:
-    op: str
+    config: str  # the ablation row, by config_label
     tensor: str
     max_rel_err: float
     passed: bool
@@ -1142,11 +1137,11 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def _check_model(seed: int) -> list[GradcheckRow]:
-    # utterance_loss_and_grads against finite differences of utterance_loss,
-    # for every ablation config and every learnable tensor, on a tiny model
-    # with jittered taps and PCEN parameters. One channel's r is negative, so
-    # sign(r) enters the r gradient.
+def run_gradcheck(seed: int = 0) -> list[GradcheckRow]:
+    """utterance_loss_and_grads against finite differences of utterance_loss,
+    for every ablation config and every learned tensor, on a tiny model with
+    jittered taps and PCEN parameters. One channel's r is negative, so
+    sign(r) enters the r gradient."""
     rows = []
     for kind, learn in ABLATION_CONFIGS:
         cfg = make_run_config(
@@ -1168,36 +1163,8 @@ def _check_model(seed: int) -> list[GradcheckRow]:
             return utterance_loss(state, wave, 0)
 
         _, analytic = utterance_loss_and_grads(state, wave, 0)
-        op = config_label(kind, learn)
+        label = config_label(kind, learn)
         for name, target in state.tensors.items():
             err = max_relative_error(analytic[name], numeric_gradient(loss_fn, target))
-            rows.append(GradcheckRow(op, name, err, err < GRADCHECK_THRESHOLD))
+            rows.append(GradcheckRow(label, name, err, err < GRADCHECK_THRESHOLD))
     return rows
-
-
-def _check_selftest_broken(seed: int) -> list[GradcheckRow]:
-    # Harness self-test: a deliberately wrong analytic gradient must fail.
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((3, 4))
-    x = rng.standard_normal(4)
-    probe = rng.standard_normal(3)
-
-    def loss_fn():
-        return float((w @ x) @ probe)
-
-    analytic = np.outer(probe, x)
-    analytic[0, 0] *= 1.01  # the deliberate error
-    err = max_relative_error(analytic, numeric_gradient(loss_fn, w))
-    return [GradcheckRow("selftest-broken", "w", err, err < GRADCHECK_THRESHOLD)]
-
-
-# "all" is the whole-model check; the broken self-test is opt-in.
-GRADCHECK_OPS = {"all": _check_model, "selftest-broken": _check_selftest_broken}
-
-
-def run_gradcheck(op: str = "all", seed: int = 0) -> list[GradcheckRow]:
-    if op not in GRADCHECK_OPS:
-        raise ConfigError(
-            f"unknown gradcheck op '{op}' (choose from {', '.join(GRADCHECK_OPS)})"
-        )
-    return GRADCHECK_OPS[op](seed)

@@ -58,37 +58,26 @@ class PcenCache:
     delta_eff: np.ndarray  # max(delta, 0), column vector
 
 
-def init_pcen_params(
-    n_channels: int,
-    r0: float = 0.5,
-    alpha0: float = 0.98,
-    delta0: float = 2.0,
-    s: float = 0.5,
-    epsilon: float = 1e-6,
-) -> PcenParams:
+def init_pcen_params(n_channels: int) -> PcenParams:
+    """The initial values of every channel: r = 0.5, alpha = 0.98, delta = 2."""
     return PcenParams(
-        alpha=np.full(n_channels, alpha0),
-        delta=np.full(n_channels, delta0),
-        r=np.full(n_channels, r0),
-        s=s,
-        epsilon=epsilon,
+        alpha=np.full(n_channels, 0.98),
+        delta=np.full(n_channels, 2.0),
+        r=np.full(n_channels, 0.5),
     )
 
 
-def _smooth(values: np.ndarray, s: float) -> np.ndarray:
-    if np.any(values < 0):
+def smoother(energies: np.ndarray, s: float) -> np.ndarray:
+    """Causal moving average along frames of (channels, frames) energies:
+    M(t) = (1-s) M(t-1) + s E(t), M(0) = E(0)."""
+    if np.any(energies < 0):
         raise ValueError("smoother input must be non-negative energies")
-    m = np.empty_like(values)
-    m[:, 0] = values[:, 0]  # initialized at the first frame
+    m = np.empty_like(energies)
+    m[:, 0] = energies[:, 0]
     one_minus_s = 1.0 - s
-    for t in range(1, values.shape[1]):
-        m[:, t] = one_minus_s * m[:, t - 1] + s * values[:, t]
+    for t in range(1, energies.shape[1]):
+        m[:, t] = one_minus_s * m[:, t - 1] + s * energies[:, t]
     return m
-
-
-def smoother(energies: FeatureMap, s: float) -> FeatureMap:
-    """Causal moving average M(t) = (1-s) M(t-1) + s E(t), M(0) = E(0)."""
-    return FeatureMap(_smooth(energies.values, s))
 
 
 def pcen_forward(
@@ -101,7 +90,7 @@ def pcen_forward(
         raise ValueError(
             f"channel mismatch: features have {v.shape[0]}, params {p.n_channels}"
         )
-    m = _smooth(v, p.s)
+    m = smoother(v, p.s)
     r_eff = np.abs(p.r)[:, None]
     delta_eff = np.maximum(p.delta, 0.0)[:, None]
     # A non-finite output is reported once, as the NumericError below, not

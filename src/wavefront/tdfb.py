@@ -121,7 +121,7 @@ def init_tdfb_params(
 ) -> TdfbParams:
     gabor = gabor_params_from_mel(melfb)
     n = melfb.n_filters
-    lp_raw = squared_hanning_window(lowpass_width).taps
+    lp_raw = squared_hanning_window(lowpass_width)
     # Amplitude match to the reference path: the mel energies sum raw |DFT|^2
     # bins while this path averages |conv|^2 through the unit-sum lowpass, a
     # gap of n_fft * sum(hann^2) / (2 pi) at initialization. Folding its
@@ -280,9 +280,8 @@ def center_frequency_report(
     The learned center is the peak of the filter's n_fft-point DFT magnitude;
     the initial column is the canonical mel grid for this layout.
     """
-    init_centers = mel_filterbank_matrix(
-        p.n_filters, n_fft, p.sample_rate, 0.0, p.sample_rate / 2.0
-    ).center_freqs_hz
+    init = mel_filterbank_matrix(p.n_filters, n_fft, p.sample_rate)
+    init_centers = init.center_freqs_hz
     if p.kernel_width > n_fft:
         raise ValueError(f"kernel width {p.kernel_width} exceeds n_fft {n_fft}")
     mag = np.abs(np.fft.fft(_complex_taps(p), n_fft))[:, : n_fft // 2 + 1]

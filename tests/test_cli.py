@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from wavefront import cli, net
-from wavefront.data import Manifest, Waveform, load_manifest, save_manifest, write_wav
+from wavefront.data import (
+    Manifest,
+    SyntheticSpec,
+    Waveform,
+    load_manifest,
+    save_manifest,
+    write_wav,
+)
 
 
 def run_cli(args):
@@ -68,8 +75,9 @@ def test_readme_and_list_configs_match_the_code(capsys):
     }
     assert commands == set(cli._DISPATCH)
     (line,) = [s for s in readme.splitlines() if s.startswith("wavefront gradcheck")]
-    ops = line.split("[", 1)[1].split("]", 1)[0].split("|")
-    assert ops == list(net.GRADCHECK_OPS)
+    assert line == "wavefront gradcheck [--seed N]"
+    args = cli.build_parser().parse_args(["gradcheck", "--seed", "3"])
+    assert vars(args) == {"command": "gradcheck", "seed": 3}
     assert run_cli(["train", "--list-configs"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(net.ABLATION_CONFIGS)
@@ -92,25 +100,42 @@ class TestConfigErrors:
         ])
         assert code == 2
 
-    def test_unknown_gradcheck_op(self):
-        assert run_cli(["gradcheck", "fourier"]) == 2
-
     def test_extract_needs_a_parameter_source(self, zero_wav, tmp_path):
         code = run_cli(["extract", "--wav", str(zero_wav),
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_negative_train_seed_writes_nothing(self, small_corpus, tmp_path, capsys):
+        _, root = small_corpus
+        out_dir = tmp_path / "run"
+        code = run_cli([
+            "train", "--manifest", str(root / "manifest.csv"), "--frontend", "mel",
+            "--seed", "-1", "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestGradcheckCommand:
     def test_single_op_exits_clean(self, capsys):
-        assert run_cli(["gradcheck", "all"]) == 0
+        assert run_cli(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "tdfb_pcen:r,alpha,delta/pcen.r" in out
         assert "FAIL" not in out
 
-    def test_broken_selftest_fails_with_numeric_exit(self, capsys):
-        assert run_cli(["gradcheck", "selftest-broken"]) == 4
-        assert "FAIL" in capsys.readouterr().out
+    def test_broken_selftest_fails_with_numeric_exit(self, monkeypatch, capsys):
+        rows = [
+            net.GradcheckRow("mel", "lstm.wx", 1e-9, True),
+            net.GradcheckRow("mel", "lstm.wh", 0.5, False),
+        ]
+        monkeypatch.setattr(net, "run_gradcheck", lambda seed: rows)
+        assert run_cli(["gradcheck"]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("mel/lstm.wh") and out[1].endswith("FAIL")
+        assert out[2] == "1 gradient check(s) failed (max rel err < 1e-05)"
 
 
 class TestSynthCommand:
@@ -124,6 +149,37 @@ class TestSynthCommand:
         assert len(manifest.records) == 14
         out = capsys.readouterr().out
         assert "manifest" in out and "train" in out
+
+    def test_sets_every_field_of_the_spec(self, monkeypatch, tmp_path):
+        # A SyntheticSpec field that synth does not set is a setting that no
+        # command can change, so it belongs among the data module constants.
+        passed = {}
+
+        def spec(**kwargs):
+            passed.update(kwargs)
+            return SyntheticSpec(**kwargs)
+
+        monkeypatch.setattr(cli, "SyntheticSpec", spec)
+        out_dir = str(tmp_path / "c")
+        assert run_cli(["synth", "--out-dir", out_dir, "--n-test", "1"]) == 0
+        assert set(passed) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-train", "-1"], "n_train_per_class must be >= 0, got -1"),
+        (["--n-valid", "-2"], "n_valid_per_class must be >= 0, got -2"),
+        (["--n-test", "-1"], "n_test_per_class must be >= 0, got -1"),
+        (["--n-speakers", "0"], "n_speakers_per_class must be >= 1, got 0"),
+        (["--noise-floor", "nan"], "noise_floor must be finite and >= 0, got nan"),
+        (["--noise-floor", "inf"], "noise_floor must be finite and >= 0, got inf"),
+        (["--noise-floor", "-0.1"], "noise_floor must be finite and >= 0, got -0.1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["n-train", "n-valid", "n-test", "n-speakers", "noise-nan", "noise-inf",
+            "noise-negative", "seed"])
+    def test_bad_spec_is_refused_before_writing(self, flags, message, tmp_path, capsys):
+        out_dir = tmp_path / "c"
+        assert run_cli(["synth", "--out-dir", str(out_dir), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +233,8 @@ class TestExperimentCommand:
         ["--configs", "bogus"],
         ["--configs", "mel", "tdfb", "mel"],
         ["--configs", "mel", "--seeds", "1", "2", "1"],
-    ], ids=["unknown-label", "repeated-label", "repeated-seed"])
+        ["--configs", "mel", "--seeds", "1", "-1"],
+    ], ids=["unknown-label", "repeated-label", "repeated-seed", "negative-seed"])
     def test_bad_selection_is_a_config_error(
         self, selection, tiny_manifest, tmp_path, capsys
     ):
@@ -484,7 +541,9 @@ class TestInspectCommand:
           "clip_seconds must be <= 60.0, got 1000000000.0"),
          # each size within its bound, but a minute at hop 1 is 959 601 frames
          ({"clip_seconds": 60.0, "hop": 1, "config_hash": None},
-          "frames x n_fft must be <= 67108864, got 491315712")],
+          "frames x n_fft must be <= 67108864, got 491315712"),
+         ({"seed": -3, "config_hash": None},
+          "seed must be a non-negative integer, got -3")],
     )
     def test_bad_checkpoint_config_is_config_error(
         self, init_checkpoint, zero_wav, tmp_path, change, message
@@ -769,6 +828,21 @@ class TestManifestErrors:
         assert code == 3
         assert err.count("\n") == 1
         assert f"duplicate id '{first.utt_id}' at lines 2 and 3" in err
+
+    @pytest.mark.parametrize("row, message", [
+        (b"u0,a.wav,control,s\xff,train\n", "line 3 is not UTF-8: invalid start byte"),
+        (b"u0,a.wav,control," + b"s" * 200_000 + b",train\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["non-utf8-byte", "huge-field"])
+    def test_unreadable_row_is_a_data_error(self, row, message, tmp_path, capsys):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(
+            b"id,path,label,speaker,split\nu1,b.wav,dysarthric,s1,train\n" + row
+        )
+        code = run_cli(["eval", "--checkpoint", "x.ckpt", "--manifest", str(path),
+                        "--split", "test"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestConsoleScript:

@@ -268,9 +268,12 @@ class TestSyntheticCorpus:
         assert max(rms["control"]) > min(rms["dysarthric"])
         assert max(rms["dysarthric"]) > min(rms["control"])
 
-    def test_rejects_band_above_nyquist(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(band_centers_hz=(2000.0, 9000.0))
+    def test_zero_utterances_per_class_is_legal(self, tmp_path):
+        # the benchmark's training corpora have no test split
+        spec = SyntheticSpec(seed=4, n_train_per_class=1, n_valid_per_class=1,
+                             n_test_per_class=0)
+        manifest = generate_synthetic(spec, tmp_path)
+        assert [r.split for r in manifest.records] == ["train"] * 2 + ["valid"] * 2
 
     def test_centroid_threshold_classifier_clears_sanity_floor(self, small_corpus):
         # the task must be solvable by a trivial spectral statistic

@@ -1,5 +1,5 @@
 """Classifier pieces against scalar oracles, optimizer closed forms,
-checkpoint round-trips, and the gradient-check registry."""
+checkpoint round-trips, and the gradient check."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wavefront import net
-from wavefront.data import Utterance
+from wavefront.data import Utterance, read_wav, write_wav
 from wavefront.dsp import Waveform
 from wavefront.errors import ConfigError, NumericError, ValidationError
 from wavefront.net import (
@@ -366,6 +366,7 @@ class TestRunConfig:
             ({"n_filters": 513}, "n_filters must be <= 512, got 513"),
             ({"hidden_size": 10**30}, "hidden_size must be <= 1024"),
             ({"attn_size": 1025}, "attn_size must be <= 1024, got 1025"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_out_of_range_values(self, change, message):
@@ -532,35 +533,46 @@ class TestMelMvnPadding:
 
 class TestGradcheckRegistry:
     def test_all_ops_pass(self):
-        rows = run_gradcheck("all")
-        assert rows, "registry returned no checks"
+        rows = run_gradcheck()
+        assert rows, "the gradient check returned no rows"
         for row in rows:
-            assert row.passed, f"{row.op}/{row.tensor}: {row.max_rel_err:.2e}"
+            assert row.passed, f"{row.config}/{row.tensor}: {row.max_rel_err:.2e}"
 
     def test_one_row_per_config_and_tensor(self):
-        rows = run_gradcheck("all")
+        rows = run_gradcheck()
         expected = []
         for kind, learn in net.ABLATION_CONFIGS:
-            op = f"{kind}:{','.join(learn)}" if learn else kind
+            label = f"{kind}:{','.join(learn)}" if learn else kind
             state = make_train_state(make_run_config(kind, learn))
-            expected += [(op, name) for name in state.tensors]
-        assert [(row.op, row.tensor) for row in rows] == expected
+            expected += [(label, name) for name in state.tensors]
+        assert [(row.config, row.tensor) for row in rows] == expected
         for row in rows:
-            assert row.passed, f"{row.op}/{row.tensor}: {row.max_rel_err:.2e}"
+            assert row.passed, f"{row.config}/{row.tensor}: {row.max_rel_err:.2e}"
 
     @pytest.mark.acceptance
     def test_all_passes_over_40_seeds(self):
         for seed in range(40):
-            for row in run_gradcheck("all", seed):
-                assert row.passed, f"seed {seed} {row.op}/{row.tensor}: {row.max_rel_err:.2e}"
-
-    def test_unknown_op(self):
-        with pytest.raises(ConfigError):
-            run_gradcheck("convolution")
+            for row in run_gradcheck(seed):
+                assert row.passed, (
+                    f"seed {seed} {row.config}/{row.tensor}: {row.max_rel_err:.2e}"
+                )
 
     def test_selftest_detects_broken_gradient(self):
-        rows = run_gradcheck("selftest-broken")
-        assert len(rows) == 1 and not rows[0].passed
+        # The harness itself: a gradient 1 % off in one entry must fail.
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((3, 4))
+        x = rng.standard_normal(4)
+        probe = rng.standard_normal(3)
+
+        def loss_fn():
+            return float((w @ x) @ probe)
+
+        numeric = net.numeric_gradient(loss_fn, w)
+        right = np.outer(probe, x)
+        wrong = right.copy()
+        wrong[0, 0] *= 1.01
+        assert net.max_relative_error(right, numeric) < net.GRADCHECK_THRESHOLD
+        assert net.max_relative_error(wrong, numeric) > net.GRADCHECK_THRESHOLD
 
 
 class TestCheckpoint:
@@ -652,23 +664,33 @@ class TestCheckpoint:
 
 
 class TestEvaluate:
-    def make_state_and_utts(self, frontend="tdfb", n=10, n_samples=64, **kw):
+    def make_state_and_utts(self, tmp_path, frontend="tdfb", n=10, n_samples=64, **kw):
+        """A toy state, n utterances in WAV files under tmp_path, and
+        provider(utt), the prepared waveform that evaluate reads for it."""
         state = make_train_state(toy_config(frontend=frontend, seed=7, **kw))
         rng = np.random.default_rng(8)
-        utts, waves = [], {}
+        tmp_path.mkdir(exist_ok=True)
+        utts = []
         for i in range(n):
             label = "control" if i % 2 == 0 else "dysarthric"
-            utt = Utterance(f"u{i}", f"/nonexistent/u{i}.wav", label, f"s{i}", "test")
+            path = str(tmp_path / f"u{i}.wav")
+            utt = Utterance(f"u{i}", path, label, f"s{i}", "test")
             utts.append(utt)
-            waves[utt.utt_id] = Waveform(rng.standard_normal(n_samples), 16000)
-        return state, utts, lambda u: waves[u.utt_id]
+            samples = np.clip(0.3 * rng.standard_normal(n_samples), -0.99, 0.99)
+            write_wav(utt.path, Waveform(samples, 16000))
 
-    def test_batched_matches_per_utterance(self):
+        def provider(utt):
+            return net.prepare_waveform(read_wav(utt.path), state.config)
+
+        return state, utts, provider
+
+    def test_batched_matches_per_utterance(self, tmp_path):
         # 19 utterances: two full batches of PREDICT_BATCH and a partial one.
         assert 19 % net.PREDICT_BATCH != 0
         for frontend in net.FRONTENDS:
             state, utts, provider = self.make_state_and_utts(
-                frontend, n=19, n_samples=800, n_filters=6, hidden_size=9, attn_size=5
+                tmp_path / frontend, frontend, n=19, n_samples=800, n_filters=6,
+                hidden_size=9, attn_size=5, clip_seconds=800 / 16000,
             )
             rng = np.random.default_rng(9)
             for tensor in state.model.tensors().values():  # biases start at 0
@@ -686,12 +708,12 @@ class TestEvaluate:
             assert batched.shape == per_utt.shape
             assert np.max(np.abs(batched - per_utt)) <= 1e-12, frontend
             expected = [net.LABELS[i] for i in np.argmax(per_utt, axis=1)]
-            result = net.evaluate(state, utts, wave_provider=provider)
+            result = net.evaluate(state, utts)
             assert result.predictions == expected, frontend
             assert net.predict_label(state, provider(utts[3])) == np.argmax(per_utt[3])
 
-    def test_non_finite_state_names_the_utterance(self):
-        state, utts, provider = self.make_state_and_utts(n=12)
+    def test_non_finite_state_names_the_utterance(self, tmp_path):
+        state, utts, provider = self.make_state_and_utts(tmp_path, n=12)
         features = {
             u.utt_id: net.frontend_forward(state.frontend, provider(u))[0]
             for u in utts
@@ -704,19 +726,22 @@ class TestEvaluate:
         with pytest.raises(NumericError, match="utterance u10 at timestep 2"):
             net.predict_logits(x, state.model, [u.utt_id for u in utts[8:]])
 
-    def test_unequal_feature_lengths_are_rejected(self):
-        state, utts, provider = self.make_state_and_utts(n=4)
+    def test_unequal_feature_lengths_are_rejected(self, tmp_path):
+        # evaluate pads every clip to clip_seconds; batched_logits still
+        # refuses a feature map whose shape differs from the first one's.
+        state, utts, provider = self.make_state_and_utts(tmp_path, n=4)
         short = Waveform(np.zeros(40), 16000)
 
-        def waves(u):
-            return short if u.utt_id == "u2" else provider(u)
+        def features_of(u):
+            wave = short if u.utt_id == "u2" else provider(u)
+            return net.frontend_forward(state.frontend, wave)[0]
 
         with pytest.raises(ValueError, match="utterance u2"):
-            net.evaluate(state, utts, wave_provider=waves)
+            net.batched_logits(state.model, utts, features_of)
 
-    def test_confusion_counts_sum_to_n(self):
-        state, utts, provider = self.make_state_and_utts()
-        result = net.evaluate(state, utts, wave_provider=provider)
+    def test_confusion_counts_sum_to_n(self, tmp_path):
+        state, utts, provider = self.make_state_and_utts(tmp_path)
+        result = net.evaluate(state, utts)
         total = sum(sum(row.values()) for row in result.confusion.values())
         assert total == result.n == len(utts)
 

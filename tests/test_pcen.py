@@ -1,5 +1,7 @@
 """Energy normalization: closed forms, smoother recurrence, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -18,27 +20,27 @@ from wavefront.pcen import (
 
 class TestSmoother:
     def test_geometric_decay(self):
-        m = smoother(FeatureMap([[1.0, 0.0, 0.0]]), 0.5)
-        assert m.values[0] == pytest.approx([1.0, 0.5, 0.25])
+        m = smoother(np.array([[1.0, 0.0, 0.0]]), 0.5)
+        assert m[0] == pytest.approx([1.0, 0.5, 0.25])
 
     def test_constant_is_fixed_point(self):
-        m = smoother(FeatureMap([[3.0] * 6]), 0.3)
-        assert m.values[0] == pytest.approx([3.0] * 6)
+        m = smoother(np.full((1, 6), 3.0), 0.3)
+        assert m[0] == pytest.approx([3.0] * 6)
 
     def test_s_equal_one_is_identity(self):
         e = np.random.default_rng(0).uniform(0, 2, (3, 7))
-        m = smoother(FeatureMap(e), 1.0)
-        assert m.values == pytest.approx(e)
+        m = smoother(e, 1.0)
+        assert m == pytest.approx(e)
 
     def test_rejects_negative_energies(self):
         with pytest.raises(ValueError):
-            smoother(FeatureMap([[1.0, -0.1]]), 0.5)
+            smoother(np.array([[1.0, -0.1]]), 0.5)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
     @settings(max_examples=40)
     def test_output_is_convex_combination(self, seed, s):
         e = np.random.default_rng(seed).uniform(0, 5, (4, 20))
-        m = smoother(FeatureMap(e), s).values
+        m = smoother(e, s)
         for ch in range(4):
             assert np.all(m[ch] >= e[ch].min() - 1e-12)
             assert np.all(m[ch] <= e[ch].max() + 1e-12)
@@ -172,7 +174,7 @@ class TestBackward:
 
         rng = np.random.default_rng(23)
         e = rng.uniform(0.2, 3.0, (2, 5))
-        p = init_pcen_params(2, s=1.0)
+        p = dataclasses.replace(init_pcen_params(2), s=1.0)
         p.alpha[:] = [0.9, 1.05]
         p.delta[:] = [1.5, 2.5]
         p.r[:] = [0.4, 0.7]

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import log_mel_features
 from wavefront import tdfb
 from wavefront.dsp import Waveform, preemphasis
-from wavefront.melfb import log_mel_features, mel_filterbank_matrix
+from wavefront.melfb import mel_filterbank_matrix
 from wavefront.tdfb import (
     center_frequency_report,
     gabor_impulse_response,
@@ -27,7 +28,7 @@ def params():
 
 
 def toy_params(jitter_seed=None, n_filters=2, kernel_width=9):
-    matrix = mel_filterbank_matrix(n_filters, 64, SR, 0.0, 8000.0)
+    matrix = mel_filterbank_matrix(n_filters, 64, SR)
     p = init_tdfb_params(
         matrix, kernel_width=kernel_width, lowpass_width=16, lowpass_stride=4
     )
@@ -156,9 +157,7 @@ class TestForward:
         w = Waveform(x, SR)
         td, _ = tdfb_forward(w, params)
         mel = log_mel_features(w, MATRIX, 400, 160)
-        assert np.array_equal(
-            np.argmax(td.values, axis=0), np.argmax(mel.values, axis=0)
-        )
+        assert np.array_equal(np.argmax(td.values, axis=0), np.argmax(mel, axis=0))
 
     def test_prelog_output_nonnegative(self):
         p = init_tdfb_params(MATRIX)
