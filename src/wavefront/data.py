@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import os
+import re
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,9 +128,11 @@ def save_manifest(m: Manifest, path, relative_to=None) -> None:
 def load_manifest(path) -> Manifest:
     """Load a UTF-8 manifest CSV; relative utterance paths resolve against
     the manifest's directory. An id may appear on one row only, as training
-    caches each utterance's features by id. A byte that is not UTF-8 and a
-    row the csv module cannot parse raise ValidationError naming the file
-    and the line."""
+    caches each utterance's features by id. Every ValidationError names
+    the file and a physical line, which a quoted field may span: the first
+    line of a bad or repeated row, line 1 for a wrong header, the line of a
+    byte that is not UTF-8, and the line where the csv module gave up on a
+    row it cannot parse."""
     path = Path(path)
     base = path.parent
     records = []
@@ -138,34 +141,39 @@ def load_manifest(path) -> Manifest:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
+        # lines end as the csv reader ends them: \r\n, \r or \n
+        line = len(re.split(rb"\r\n?|\n", raw[: e.start]))
         raise ValidationError(f"{path}: line {line} is not UTF-8: {e.reason}") from e
     reader = csv.reader(io.StringIO(text, newline=""))
+
+    def invalid(lineno: int, what: str) -> ValidationError:
+        return ValidationError(f"{path}: line {lineno}: {what}")
+
     try:
         header = next(reader, None)
         if header is None or tuple(header) != MANIFEST_FIELDS:
-            raise ValidationError(
-                f"manifest header must be {','.join(MANIFEST_FIELDS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+            raise invalid(1, f"header must be {','.join(MANIFEST_FIELDS)}")
+        while True:
+            lineno = reader.line_num + 1  # where the next record starts
+            row = next(reader, None)
+            if row is None:
+                break
             if len(row) != len(MANIFEST_FIELDS):
-                raise ValidationError(f"malformed manifest row at line {lineno}")
+                raise invalid(lineno, f"{len(row)} fields, not {len(MANIFEST_FIELDS)}")
             utt_id, p, label, speaker, split = row
             if label not in LABELS:
-                raise ValidationError(f"unknown label '{label}' at line {lineno}")
+                raise invalid(lineno, f"unknown label '{label}'")
             if split not in SPLITS:
-                raise ValidationError(f"unknown split '{split}' at line {lineno}")
+                raise invalid(lineno, f"unknown split '{split}'")
             if utt_id in first_line:
-                raise ValidationError(
-                    f"duplicate id '{utt_id}' at lines {first_line[utt_id]} "
-                    f"and {lineno}"
-                )
+                first = first_line[utt_id]
+                raise invalid(lineno, f"duplicate id '{utt_id}', first at line {first}")
             first_line[utt_id] = lineno
             if not os.path.isabs(p):
                 p = str(base / p)
             records.append(Utterance(utt_id, p, label, speaker, split))
     except csv.Error as e:
-        raise ValidationError(f"{path}: line {reader.line_num}: {e}") from e
+        raise invalid(reader.line_num, str(e)) from e
     return Manifest(records)
 
 

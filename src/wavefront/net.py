@@ -472,30 +472,38 @@ def predict_logits(x: np.ndarray, p: ModelParams, ids=None) -> np.ndarray:
 
     x is (frames, batch, channels); returns (batch, n_labels) logits, the
     values classifier_forward gives each utterance up to rounding. Nothing
-    is kept for backprop: each step projects only its own input frame and
-    scores its hidden state for attention at once. A non-finite LSTM state
-    raises NumericError naming the first such batch row, by ids[row] when
-    ids is given, and its first non-finite timestep.
+    is kept for backprop. Each step projects only its own input frame and
+    writes its hidden state into the (frames, batch, H) block; after the
+    recurrence every state is scored for attention in one product. A
+    non-finite LSTM state raises NumericError, before any scoring, naming
+    the first such batch row, by ids[row] when ids is given, and its first
+    non-finite timestep.
     """
     n_frames, batch, _ = x.shape
     h = p.hidden_size
     wx, wh, b, scale, offset = _tanh_gate_weights(p)
+    # C-contiguous (in, out) copies: at batch 8, one BLAS thread, OpenBLAS
+    # serves a frame's products from these 2 to 3 times faster than from
+    # the views wx.T and wh.T (about 4.2 against 11.6 us, 4.4 against 9.8 us).
+    wx_t = np.ascontiguousarray(wx.T)
+    wh_t = np.ascontiguousarray(wh.T)
+    attn1_w_t = np.ascontiguousarray(p.attn1_w.T)
     h_prev = np.zeros((batch, h))
     c_prev = np.zeros((batch, h))
     hidden = np.empty((n_frames, batch, h))
-    scores = np.empty((n_frames, batch))
-    # Projecting every frame and scoring every state outside the loop, as
-    # one matmul each, measured slower than this per-step form.
+    # With these copies and attention scored after the loop in one product,
+    # a chunk of 8 at paper shapes takes about 7.5 ms, against 11.5 ms with
+    # the views and per-step scoring. The input projection stays per step:
+    # done before the loop it holds a 3.8 MB (frames, batch, 4H) block and
+    # gained about 2 %.
     for t in range(n_frames):
-        g = x[t] @ wx.T + b
-        g += h_prev @ wh.T
+        g = x[t] @ wx_t + b
+        g += h_prev @ wh_t
         np.tanh(g, out=g)
         g *= scale
         g += offset
         c_prev = g[:, h : 2 * h] * c_prev + g[:, :h] * g[:, 2 * h : 3 * h]
-        h_prev = g[:, 3 * h :] * np.tanh(c_prev)
-        hidden[t] = h_prev
-        scores[t] = np.tanh(h_prev @ p.attn1_w.T + p.attn1_b) @ p.attn2_w
+        h_prev = np.multiply(g[:, 3 * h :], np.tanh(c_prev), out=hidden[t])
     bad = ~np.isfinite(hidden).all(axis=2)  # (frames, batch)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
@@ -503,6 +511,10 @@ def predict_logits(x: np.ndarray, p: ModelParams, ids=None) -> np.ndarray:
         raise NumericError(
             f"non-finite LSTM state in {name} at timestep {np.argmax(bad[:, row])}"
         )
+    scored = hidden.reshape(n_frames * batch, h) @ attn1_w_t
+    scored += p.attn1_b
+    np.tanh(scored, out=scored)
+    scores = (scored @ p.attn2_w).reshape(n_frames, batch)
     weights = np.exp(scores - scores.max(axis=0))
     weights /= weights.sum(axis=0)
     context = np.einsum("tb,tbh->bh", weights, hidden)
@@ -513,13 +525,18 @@ def batched_logits(p: ModelParams, utterances: list, features_of) -> np.ndarray:
     """Logits (len(utterances), n_labels), in utterance order, from
     predict_logits over chunks of PREDICT_BATCH. features_of(utt) returns
     (channels, frames) features; each is copied into the chunk's block as
-    soon as it is computed, so at most one chunk of feature maps is held."""
+    soon as it is computed, so at most one chunk of feature maps is held. A
+    NumericError from features_of is raised again prefixed with the
+    utterance's id."""
     logits = [np.empty((0, p.out_b.shape[0]))]
     block = None
     for start in range(0, len(utterances), PREDICT_BATCH):
         chunk = utterances[start : start + PREDICT_BATCH]
         for i, utt in enumerate(chunk):
-            values = features_of(utt)
+            try:
+                values = features_of(utt)
+            except NumericError as e:
+                raise NumericError(f"utterance {utt.utt_id}: {e}") from e
             if block is None:
                 block = np.empty((values.shape[1], PREDICT_BATCH, values.shape[0]))
             if values.shape != (block.shape[2], block.shape[0]):
@@ -981,9 +998,14 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
         losses = []
         for idx in order:
             utt = train_utts[idx]
-            loss = step_utterance(
-                state, None, label_to_idx[utt.label], frontend_out=provider(utt)
-            )
+            try:
+                loss = step_utterance(
+                    state, None, label_to_idx[utt.label], frontend_out=provider(utt)
+                )
+            except NumericError as e:
+                raise NumericError(
+                    f"epoch {epoch}, utterance {utt.utt_id}: {e}"
+                ) from e
             losses.append(loss)
         epoch_uar = valid_uar()
         log_rows.append((epoch, float(np.mean(losses)), epoch_uar))

@@ -610,15 +610,19 @@ class TestInspectCommand:
 
 def assert_one_line_numeric_error(state, small_corpus, tmp_path, message):
     """`extract` and `eval` from a checkpoint of `state` exit 4, and stderr
-    is one line, no numpy warnings, that fully matches the regex `message`."""
+    is one line, no numpy warnings, that fully matches the regex `message`;
+    `eval` prefixes it with the first test utterance's id."""
     manifest, root = small_corpus
     path = tmp_path / "bad.ckpt"
     net.save_checkpoint(
         path, net.checkpoint_tensors(state), {"config": net.config_to_dict(state.config)}
     )
-    for args in (
-        ["extract", "--wav", manifest.records[0].path, "--out", str(tmp_path / "x.csv")],
-        ["eval", "--manifest", str(root / "manifest.csv"), "--split", "test"],
+    first_test = re.escape(manifest.split("test")[0].utt_id)
+    for args, expected in (
+        (["extract", "--wav", manifest.records[0].path, "--out", str(tmp_path / "x.csv")],
+         message),
+        (["eval", "--manifest", str(root / "manifest.csv"), "--split", "test"],
+         f"utterance {first_test}: {message}"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "wavefront.cli", *args, "--checkpoint", str(path)],
@@ -626,7 +630,7 @@ def assert_one_line_numeric_error(state, small_corpus, tmp_path, message):
             text=True,
         )
         assert proc.returncode == 4
-        assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
+        assert re.fullmatch(f"error: {expected}\n", proc.stderr), proc.stderr
 
 
 def test_overflowing_filterbank_is_a_numeric_error(small_corpus, tmp_path):
@@ -827,7 +831,9 @@ class TestManifestErrors:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1
-        assert f"duplicate id '{first.utt_id}' at lines 2 and 3" in err
+        assert err == (
+            f"error: {path}: line 3: duplicate id '{first.utt_id}', first at line 2\n"
+        )
 
     @pytest.mark.parametrize("row, message", [
         (b"u0,a.wav,control,s\xff,train\n", "line 3 is not UTF-8: invalid start byte"),

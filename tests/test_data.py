@@ -214,8 +214,49 @@ class TestManifest:
     def test_unknown_label_rejected_at_load(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("id,path,label,speaker,split\nu0,a.wav,healthy,s,train\n")
-        with pytest.raises(ValidationError, match="healthy"):
+        with pytest.raises(ValidationError) as e:
             load_manifest(path)
+        assert str(e.value) == f"{path}: line 2: unknown label 'healthy'"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("u2,b.wav,healthy,s2,train\n", "line 4: unknown label 'healthy'"),
+        ("u2,b.wav,control,s2,dev\n", "line 4: unknown split 'dev'"),
+        ("u2,b.wav,control\n", "line 4: 3 fields, not 5"),
+        ("u2,b.wav,control,s2,train\nu1,c.wav,control,s2,train\n",
+         "line 5: duplicate id 'u1', first at line 2"),
+        ('u2,b.wav,control,"s\n\n2",train\nu3,c.wav,healthy,s3,train\n',
+         "line 7: unknown label 'healthy'"),
+    ], ids=["label", "split", "fields", "duplicate", "two-newlines"])
+    def test_errors_name_the_file_and_physical_line(self, rows, message, tmp_path):
+        # u1's quoted speaker field spans lines 2 and 3, so every later
+        # record starts one physical line below its record number.
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            'id,path,label,speaker,split\nu1,a.wav,dysarthric,"s\n1",train\n' + rows
+        )
+        with pytest.raises(ValidationError) as e:
+            load_manifest(path)
+        assert str(e.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("row, message", [
+        (b"u2,b.wav,healthy,s2,train", "line 3: unknown label 'healthy'"),
+        (b"u2,b.wav,control,s\xff,train", "line 3 is not UTF-8: invalid start byte"),
+    ], ids=["label", "non-utf8-byte"])
+    def test_every_line_ending_counts(self, eol, row, message, tmp_path):
+        path = tmp_path / "manifest.csv"
+        rows = [b"id,path,label,speaker,split", b"u1,a.wav,control,s1,train", row]
+        path.write_bytes(eol.join(rows) + eol)
+        with pytest.raises(ValidationError) as e:
+            load_manifest(path)
+        assert str(e.value) == f"{path}: {message}"
+
+    def test_wrong_header_names_the_file(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("id,path,label,split\n")
+        with pytest.raises(ValidationError) as e:
+            load_manifest(path)
+        assert str(e.value) == f"{path}: line 1: header must be id,path,label,speaker,split"
 
 
 def file_digest(path):

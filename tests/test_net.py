@@ -1,7 +1,9 @@
 """Classifier pieces against scalar oracles, optimizer closed forms,
 checkpoint round-trips, and the gradient check."""
 
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -712,6 +714,51 @@ class TestEvaluate:
             assert result.predictions == expected, frontend
             assert net.predict_label(state, provider(utts[3])) == np.argmax(per_utt[3])
 
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_predict_logits_at_paper_shapes(self, batch):
+        # BLAS picks its kernels by shape: 64 channels, 248 frames, H=60, A=50.
+        rng = np.random.default_rng(40 + batch)
+        p = init_model_params(rng, 64, 60, 50, 2)
+        for tensor in p.tensors().values():  # biases start at 0
+            tensor += 0.3 * rng.standard_normal(tensor.shape)
+        x = rng.standard_normal((248, batch, 64))
+        per_utt = np.array([classifier_forward(x[:, i].T, p)[0] for i in range(batch)])
+        batched = net.predict_logits(x, p)
+        assert np.max(np.abs(batched - per_utt)) <= 1e-12
+        assert (np.argmax(batched, axis=1) == np.argmax(per_utt, axis=1)).all()
+
+    def test_batched_matches_evaluate_at_paper_shapes(self, tmp_path):
+        state, utts, provider = self.make_state_and_utts(
+            tmp_path, "mel", n=19, n_samples=36_000, n_filters=64, win_len=400,
+            hop=160, n_fft=512, hidden_size=60, attn_size=50, clip_seconds=2.5,
+        )
+        rng = np.random.default_rng(10)
+        for tensor in state.model.tensors().values():
+            tensor += 0.3 * rng.standard_normal(tensor.shape)
+        features = {
+            u.utt_id: net.frontend_forward(state.frontend, provider(u))[0]
+            for u in utts
+        }
+        assert features["u0"].shape == (64, 248)
+
+        def per_utt():
+            return np.array(
+                [classifier_forward(features[u.utt_id], state.model)[0] for u in utts]
+            )
+
+        # The noise clips score alike: move the boundary midway between the
+        # two middle margins, so that both labels are predicted and no
+        # margin sits near 0.
+        margins = np.sort(np.diff(per_utt(), axis=1).ravel())
+        state.model.out_b[1] -= margins[8:10].mean()
+        want = per_utt()
+        batched = net.batched_logits(state.model, utts, lambda u: features[u.utt_id])
+        assert np.max(np.abs(batched - want)) <= 1e-12
+        expected = [net.LABELS[i] for i in np.argmax(want, axis=1)]
+        assert set(expected) == set(net.LABELS)
+        assert [net.LABELS[i] for i in np.argmax(batched, axis=1)] == expected
+        assert net.evaluate(state, utts).predictions == expected
+
     def test_non_finite_state_names_the_utterance(self, tmp_path):
         state, utts, provider = self.make_state_and_utts(tmp_path, n=12)
         features = {
@@ -767,6 +814,21 @@ class TestTrainRun(object):
         assert np.all(state.frontend.pcen.r == 0.5)
         assert np.all(state.frontend.pcen.alpha == 0.98)
         assert np.all(state.frontend.pcen.delta == 2.0)
+
+    def test_step_error_names_the_epoch_and_utterance(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        # alpha = -400 overflows PCEN on the first step of epoch 1.
+        manifest, _ = small_corpus
+        state = make_train_state(make_run_config("mel_pcen", seed=0, epochs=1))
+        state.frontend.pcen.alpha[:] = -400.0
+        order = copy.deepcopy(state.rng).permutation(len(manifest.split("train")))
+        first = re.escape(manifest.split("train")[order[0]].utt_id)
+        monkeypatch.setattr(net, "make_train_state", lambda cfg: state)
+        with pytest.raises(NumericError) as e:
+            net.train_run(manifest, state.config, tmp_path / "run")
+        expected = rf"epoch 1, utterance {first}: non-finite PCEN output at channel \d+"
+        assert re.fullmatch(expected + r", frame \d+", str(e.value)), str(e.value)
 
     def test_early_stopping_bounds_improvement_gaps(self, small_corpus, tmp_path):
         manifest, _ = small_corpus
