@@ -80,13 +80,14 @@ def last_nonzero(samples: np.ndarray) -> int:
 
 def frame_signal(w: Waveform, win_len: int, hop: int) -> np.ndarray:
     """Slice into full overlapping frames; trailing samples that do not fill
-    a window are dropped. Returns an (n_frames, win_len) array."""
+    a window are dropped. Returns an (n_frames, win_len) read-only strided
+    view of the samples, which copies nothing."""
     if hop < 1:
         raise ValueError(f"hop must be >= 1, got {hop}")
     n = len(w)
     if win_len > n:
         raise ValueError(f"win_len {win_len} exceeds signal length {n}; pad first")
-    return np.ascontiguousarray(sliding_window_view(w.samples, win_len)[::hop])
+    return sliding_window_view(w.samples, win_len)[::hop]
 
 
 def power_spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -103,4 +104,7 @@ def power_spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
             f"n_fft {n_fft} smaller than frame length {frame.shape[-1]}"
         )
     spec = np.fft.rfft(frame, n_fft)
-    return spec.real**2 + spec.imag**2
+    # Squared in place: no temporary beyond the spectrum and the result.
+    power = np.square(spec.real)
+    power += np.square(spec.imag, out=spec.imag)
+    return power

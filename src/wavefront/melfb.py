@@ -88,8 +88,8 @@ def mel_energy_features(
     # so do their energies: only frames 0 .. last // hop are transformed.
     n_live = max(last_nonzero(w.samples), 0) // hop + 1
     live = Waveform(w.samples[: (n_live - 1) * hop + win_len], w.sample_rate)
-    # The unwindowed frames are freed before the transform runs, which
-    # lowers the peak memory of a feature pass by one frame matrix.
+    # frame_signal is a view of the samples: the windowed product is the
+    # only frame matrix a feature pass builds.
     windowed = frame_signal(live, win_len, hop) * taps
     spectra = power_spectrum(windowed, matrix.n_fft)
     energies = np.zeros((matrix.n_filters, (len(w) - win_len) // hop + 1))

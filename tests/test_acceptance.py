@@ -8,6 +8,7 @@ hour on one CPU core.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -32,8 +33,8 @@ SINGLE_CORE_ENV = {
 }
 
 
-def cli(*args):
-    env = {**os.environ, **SINGLE_CORE_ENV}
+def cli(*args, blas_threads=1):
+    env = {**os.environ, **SINGLE_CORE_ENV, "OPENBLAS_NUM_THREADS": str(blas_threads)}
     proc = subprocess.run(
         [sys.executable, "-m", "wavefront.cli", *args],
         capture_output=True,
@@ -263,6 +264,35 @@ def test_determinism(small_corpus, tmp_path):
         assert blobs[0][2] == blobs[1][2], f"{case}: config echoes differ"
         outputs.append(case)
     print(f"\nACCEPTANCE determinism: PASS (bit-identical reruns: {outputs})")
+
+
+def test_determinism_across_blas_threads(small_corpus, tmp_path):
+    """train and eval --out give byte-identical artifacts at one and two
+    BLAS threads: BLAS picks its kernels by shape and thread count."""
+    _, root = small_corpus
+    manifest = str(root / "manifest.csv")
+    run = tmp_path / "run"
+    artifacts = ("checkpoint.ckpt", "train_log.csv", "config.json", "eval.json")
+    blobs = {}
+    for threads in (1, 2):
+        shutil.rmtree(run, ignore_errors=True)
+        for case, epochs in (("mel", "2"), ("tdfb_pcen", "1")):
+            out = run / case
+            cli(
+                "train", "--manifest", manifest, "--frontend", case, "--seed", "5",
+                "--epochs", epochs, "--patience", "5", "--out-dir", str(out),
+                blas_threads=threads,
+            )
+            cli(
+                "eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                "--manifest", manifest, "--split", "train",
+                "--out", str(out / "eval.json"), blas_threads=threads,
+            )
+            for name in artifacts:
+                blobs.setdefault((case, name), []).append((out / name).read_bytes())
+    differ = [key for key, (one, two) in blobs.items() if one != two]
+    assert not differ, f"differ between 1 and 2 BLAS threads: {differ}"
+    print(f"\nACCEPTANCE determinism across BLAS threads: PASS ({len(blobs)} files)")
 
 
 # ---------------------------------------------------------------------------

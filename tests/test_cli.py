@@ -693,6 +693,30 @@ class TestAtomicOutputs:
         for name in names:
             assert (out_dir / name).read_text() == "earlier\n"
 
+    @pytest.mark.parametrize(
+        "target", ["adir", "missing/report.json", "afile/report.json"]
+    )
+    def test_unwritable_output_names_only_the_target(
+        self, target, trained_mel_run, small_corpus, tmp_path, capsys
+    ):
+        """The rename onto a directory fails, and so does the temp file in a
+        missing directory or under a file: one stderr line names the output
+        path, not the temp file, and no temp file is left."""
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("kept\n")
+        code = run_cli([
+            "eval", "--checkpoint", str(trained_mel_run / "checkpoint.ckpt"),
+            "--manifest", str(small_corpus[1] / "manifest.csv"),
+            "--split", "test", "--out", str(tmp_path / target),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(tmp_path / target) in err and ".tmp" not in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
 
 @pytest.fixture(scope="module")
 def trained_tdfb_pcen(small_corpus, tmp_path_factory):

@@ -4,6 +4,7 @@ checkpoint round-trips, and the gradient check."""
 import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -687,12 +688,13 @@ class TestEvaluate:
         return state, utts, provider
 
     def test_batched_matches_per_utterance(self, tmp_path):
-        # 19 utterances: two full batches of PREDICT_BATCH and a partial one.
-        assert 19 % net.PREDICT_BATCH != 0
+        # One utterance, one full chunk, one past it (two chunks) and three
+        # chunks, the last one partial.
+        sizes = [1, net.PREDICT_BATCH, net.PREDICT_BATCH + 1, 2 * net.PREDICT_BATCH + 3]
         for frontend in net.FRONTENDS:
             state, utts, provider = self.make_state_and_utts(
-                tmp_path / frontend, frontend, n=19, n_samples=800, n_filters=6,
-                hidden_size=9, attn_size=5, clip_seconds=800 / 16000,
+                tmp_path / frontend, frontend, n=max(sizes), n_samples=800,
+                n_filters=6, hidden_size=9, attn_size=5, clip_seconds=800 / 16000,
             )
             rng = np.random.default_rng(9)
             for tensor in state.model.tensors().values():  # biases start at 0
@@ -704,17 +706,36 @@ class TestEvaluate:
             per_utt = np.array(
                 [classifier_forward(features[u.utt_id], state.model)[0] for u in utts]
             )
-            batched = net.batched_logits(
-                state.model, utts, lambda u: features[u.utt_id]
-            )
-            assert batched.shape == per_utt.shape
-            assert np.max(np.abs(batched - per_utt)) <= 1e-12, frontend
-            expected = [net.LABELS[i] for i in np.argmax(per_utt, axis=1)]
-            result = net.evaluate(state, utts)
-            assert result.predictions == expected, frontend
+            for n in sizes:
+                batched = net.batched_logits(
+                    state.model, utts[:n], lambda u: features[u.utt_id]
+                )
+                assert batched.shape == per_utt[:n].shape
+                assert np.max(np.abs(batched - per_utt[:n])) <= 1e-12, (frontend, n)
+                expected = [net.LABELS[i] for i in np.argmax(per_utt[:n], axis=1)]
+                result = net.evaluate(state, utts[:n])
+                assert result.predictions == expected, (frontend, n)
             assert net.predict_label(state, provider(utts[3])) == np.argmax(per_utt[3])
 
-    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("n_full,rest", [(0, 0), (0, 1), (1, 0), (2, 3)])
+    def test_chunks_are_predict_batch_then_the_rest(self, monkeypatch, n_full, rest):
+        n = n_full * net.PREDICT_BATCH + rest
+        chunks = [net.PREDICT_BATCH] * n_full + [rest] * (rest > 0)
+        p = init_model_params(np.random.default_rng(1), 3, 4, 2, 2)
+        seen = []
+        predict = net.predict_logits
+
+        def recording(x, p, ids=None):
+            seen.append(x.shape[1])
+            return predict(x, p, ids)
+
+        monkeypatch.setattr(net, "predict_logits", recording)
+        utts = [Utterance(f"u{i}", "", "control", "s", "test") for i in range(n)]
+        logits = net.batched_logits(p, utts, lambda u: np.ones((3, 5)))
+        assert seen == chunks
+        assert logits.shape == (n, 2)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8, 20, 24])
     def test_predict_logits_at_paper_shapes(self, batch):
         # BLAS picks its kernels by shape: 64 channels, 248 frames, H=60, A=50.
         rng = np.random.default_rng(40 + batch)
@@ -726,6 +747,20 @@ class TestEvaluate:
         batched = net.predict_logits(x, p)
         assert np.max(np.abs(batched - per_utt)) <= 1e-12
         assert (np.argmax(batched, axis=1) == np.argmax(per_utt, axis=1)).all()
+
+    def test_predict_logits_holds_no_per_frame_block(self):
+        # A (frames, batch, H) hidden block alone would be 2.9 MB here; the
+        # slab-wise running softmax keeps the peak below the input's size.
+        rng = np.random.default_rng(41)
+        p = init_model_params(rng, 64, 60, 50, 2)
+        x = rng.standard_normal((248, 24, 64))
+        tracemalloc.start()
+        try:
+            net.predict_logits(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
     def test_batched_matches_evaluate_at_paper_shapes(self, tmp_path):
         state, utts, provider = self.make_state_and_utts(
@@ -772,6 +807,30 @@ class TestEvaluate:
         x = np.stack([features[u.utt_id].T for u in utts[8:]], axis=1)
         with pytest.raises(NumericError, match="utterance u10 at timestep 2"):
             net.predict_logits(x, state.model, [u.utt_id for u in utts[8:]])
+
+    def test_non_finite_state_in_a_later_slab_of_the_second_chunk(self):
+        # Row 5 of the second chunk turns non-finite at frame 200, in the
+        # seventh slab. Row 7 turns non-finite earlier, at frame 5, but in a
+        # later row: the first row is named, with its first non-finite
+        # timestep.
+        assert net.SLAB < 200
+        first, later = net.PREDICT_BATCH + 5, net.PREDICT_BATCH + 7
+        rng = np.random.default_rng(12)
+        p = init_model_params(rng, 3, 4, 2, 2)
+        utts = [
+            Utterance(f"u{i}", "", "control", "s", "test")
+            for i in range(net.PREDICT_BATCH + 10)
+        ]
+        features = {u.utt_id: rng.standard_normal((3, 248)) for u in utts}
+        features[f"u{first}"][1, 200] = np.nan
+        features[f"u{later}"][0, 5] = np.nan
+        message = f"utterance u{first} at timestep 200$"
+        with pytest.raises(NumericError, match=message):
+            net.batched_logits(p, utts, lambda u: features[u.utt_id])
+        second = utts[net.PREDICT_BATCH :]
+        x = np.stack([features[u.utt_id].T for u in second], axis=1)
+        with pytest.raises(NumericError, match=message):
+            net.predict_logits(x, p, [u.utt_id for u in second])
 
     def test_unequal_feature_lengths_are_rejected(self, tmp_path):
         # evaluate pads every clip to clip_seconds; batched_logits still
