@@ -104,7 +104,9 @@ def power_spectrum(frame: np.ndarray, n_fft: int) -> np.ndarray:
             f"n_fft {n_fft} smaller than frame length {frame.shape[-1]}"
         )
     spec = np.fft.rfft(frame, n_fft)
-    # Squared in place: no temporary beyond the spectrum and the result.
-    power = np.square(spec.real)
-    power += np.square(spec.imag, out=spec.imag)
-    return power
+    # Squared in place through the float view, whose even and odd columns
+    # are the real and imaginary parts: one pass, no temporary beyond the
+    # spectrum and the result.
+    v = spec.view(np.float64)
+    np.square(v, out=v)
+    return np.add(v[..., 0::2], v[..., 1::2])

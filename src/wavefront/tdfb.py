@@ -220,8 +220,11 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
         for f, spec in enumerate(taps_spec):
             c = np.multiply(spec, spectra, out=y)
             np.fft.ifft(c, out=c)
-            np.square(c.real[:, :step], out=e)  # modulus then square, fused
-            e += np.square(c.imag[:, :step], out=c.imag[:, :step])
+            # Squared modulus: both parts squared in place through the float
+            # view, then its even (real) and odd (imaginary) columns added.
+            v = c.view(np.float64)[:, : 2 * step]
+            np.square(v, out=v)
+            np.add(v[:, 0::2], v[:, 1::2], out=e)
             pooled[f] = _lowpass(energy[:width], slots, n_frames)
     if not np.all(np.isfinite(pooled)):
         f, fr = np.argwhere(~np.isfinite(pooled))[0]

@@ -161,6 +161,17 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum(np.ones(8), 4)
 
+    @pytest.mark.parametrize("shape", [(400,), (7, 400)])
+    def test_padded_buffer_matches_the_short_frame_bit_for_bit(self, shape):
+        # A frame written into a zeroed transform-length buffer gives the
+        # bytes of the short frame padded by rfft, squared part by part.
+        frame = np.random.default_rng(6).standard_normal(shape)
+        padded = np.zeros(shape[:-1] + (512,))
+        padded[..., :400] = frame
+        spec = np.fft.rfft(frame, 512)
+        expected = spec.real * spec.real + spec.imag * spec.imag
+        assert power_spectrum(padded, 512).tobytes() == expected.tobytes()
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8, 16, 64, 256]))
     @settings(max_examples=40)
     def test_parseval(self, seed, n):

@@ -21,6 +21,15 @@ MATRIX = mel_filterbank_matrix()
 WIN_LEN, HOP = 400, 160  # 25 ms windows every 10 ms at 16 kHz
 
 
+def banded_product(spectra, m):
+    """(n_filters, frames) energies of (frames, bins) spectra, each band of
+    filters summed over its own bins, as mel_energy_features sums them."""
+    energies = np.zeros((m.n_filters, len(spectra)))
+    for a, b, lo, hi, block in m.bands:
+        energies[a:b] = (spectra[:, lo:hi] @ block).T
+    return energies
+
+
 def tone(freq_hz, n=40000, sr=16000, amp=0.1):
     return Waveform(amp * np.sin(2 * np.pi * freq_hz * np.arange(n) / sr), sr)
 
@@ -114,6 +123,31 @@ class TestLogMelFeatures:
         large = log_mel_features(Waveform(3.0 * x, 16000), MATRIX, WIN_LEN, HOP)
         assert np.all(large >= small - 1e-12)
 
+    @pytest.mark.parametrize(
+        "n_filters,n_fft,sample_rate",
+        [(64, 512, 16000), (40, 1024, 16000), (61, 512, 8000), (128, 256, 16000)],
+    )
+    def test_banded_product_matches_the_dense_one(self, n_filters, n_fft, sample_rate):
+        # Each band of filters meets only its own bins; the sums agree with
+        # the dense product up to their order. At 128 filters over 129 bins
+        # some filters fall between bins: their rows are exact zeros.
+        m = mel_filterbank_matrix(n_filters, n_fft, sample_rate)
+        rng = np.random.default_rng(n_filters)
+        w = Waveform(0.1 * rng.standard_normal(sample_rate), sample_rate)
+        win_len = min(WIN_LEN, n_fft)
+        frames = frame_signal(w, win_len, HOP) * hanning_window(win_len)
+        dense = (power_spectrum(frames, n_fft) @ m.weights.T).T
+        fm = mel_energy_features(w, m, win_len, HOP)
+        assert fm.values == pytest.approx(dense, rel=1e-12, abs=0)
+        empty = ~m.weights.any(axis=1)
+        assert empty.any() == (n_filters == 128)
+        assert np.all(fm.values[empty] == 0) and np.all(fm.values[~empty] > 0)
+
+    def test_frame_longer_than_the_transform_is_refused(self):
+        m = mel_filterbank_matrix(64, 256)
+        with pytest.raises(ValueError, match="n_fft 256 smaller than frame length 400"):
+            mel_energy_features(tone(440.0), m, WIN_LEN, HOP)
+
     def test_energy_features_are_nonnegative(self):
         fm = mel_energy_features(tone(1000.0), MATRIX, WIN_LEN, HOP)
         assert np.all(fm.values >= 0)
@@ -121,20 +155,20 @@ class TestLogMelFeatures:
     @pytest.mark.parametrize("last", [399, 13999, 20159, 20160, 20161, 39999])
     def test_padded_clip_matches_every_frame_transformed(self, last):
         # Only frames 0 .. last // hop are transformed; the rest must be the
-        # exact zeros that transforming them would give.
+        # exact zeros that transforming them would give. The frames are the
+        # banded product's rows, so the live ones' sums do not depend on how
+        # many frames there are (from 2 on: one frame is a matrix-vector
+        # product, summed in another order).
         m = mel_filterbank_matrix()
         x = np.zeros(40000)
         x[: last + 1] = 0.1 * np.random.default_rng(last).standard_normal(last + 1)
         w = Waveform(x, 16000)
         frames = frame_signal(w, WIN_LEN, HOP) * hanning_window(WIN_LEN)
-        expected = (power_spectrum(frames, m.n_fft) @ m.weights.T).T
+        expected = banded_product(power_spectrum(frames, m.n_fft), m)
         fm = mel_energy_features(w, m, WIN_LEN, HOP)
         live = last // HOP + 1
         assert np.all(fm.values[:, live:] == 0) and np.all(expected[:, live:] == 0)
-        if live > 18:
-            assert fm.values.tobytes() == expected.tobytes()
-        else:  # BLAS may sum a product of so few rows in another order
-            assert fm.values == pytest.approx(expected, rel=1e-12, abs=0)
+        assert fm.values.tobytes() == expected.tobytes()
 
 
 class TestMeanVarianceNormalize:

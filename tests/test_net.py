@@ -666,6 +666,59 @@ class TestCheckpoint:
             assert np.array_equal(value, tensors[name]), name
 
 
+def broadcast_predict_logits(x, p, ids=None):
+    """predict_logits with the (4H,) gate constants broadcast over the batch
+    at every step and fresh temporaries per step: the byte oracle for its
+    buffered recurrence."""
+    n_frames, batch, _ = x.shape
+    h = p.hidden_size
+    wx, wh, b, scale, offset = net._tanh_gate_weights(p)
+    wx_t = np.ascontiguousarray(wx.T)
+    wh_t = np.ascontiguousarray(wh.T)
+    attn1_w_t = np.ascontiguousarray(p.attn1_w.T)
+    h_prev = np.zeros((batch, h))
+    c_prev = np.zeros((batch, h))
+    slab = np.empty((min(net.SLAB, n_frames), batch, h))
+    bad = np.zeros((n_frames, batch), dtype=bool)
+    run_max = np.full(batch, -np.inf)
+    run_sum = np.zeros(batch)
+    context = np.zeros((batch, h))
+    for start in range(0, n_frames, net.SLAB):
+        stop = min(start + net.SLAB, n_frames)
+        states = slab[: stop - start]
+        for t in range(start, stop):
+            g = x[t] @ wx_t + b
+            g += h_prev @ wh_t
+            np.tanh(g, out=g)
+            g *= scale
+            g += offset
+            c_prev = g[:, h : 2 * h] * c_prev + g[:, :h] * g[:, 2 * h : 3 * h]
+            h_prev = np.multiply(g[:, 3 * h :], np.tanh(c_prev), out=states[t - start])
+        bad[start:stop] = ~np.isfinite(states).all(axis=2)
+        if bad[:stop].any():
+            continue
+        scored = states.reshape(-1, h) @ attn1_w_t
+        scored += p.attn1_b
+        np.tanh(scored, out=scored)
+        scores = (scored @ p.attn2_w).reshape(stop - start, batch)
+        new_max = np.maximum(run_max, scores.max(axis=0))
+        rescale = np.exp(run_max - new_max)
+        weights = np.exp(scores - new_max)
+        run_sum *= rescale
+        run_sum += weights.sum(axis=0)
+        context *= rescale[:, None]
+        context += np.einsum("tb,tbh->bh", weights, states)
+        run_max = new_max
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        name = f"utterance {ids[row]}" if ids is not None else f"batch row {row}"
+        raise NumericError(
+            f"non-finite LSTM state in {name} at timestep {np.argmax(bad[:, row])}"
+        )
+    context /= run_sum[:, None]
+    return context @ p.out_w.T + p.out_b
+
+
 class TestEvaluate:
     def make_state_and_utts(self, tmp_path, frontend="tdfb", n=10, n_samples=64, **kw):
         """A toy state, n utterances in WAV files under tmp_path, and
@@ -745,8 +798,39 @@ class TestEvaluate:
         x = rng.standard_normal((248, batch, 64))
         per_utt = np.array([classifier_forward(x[:, i].T, p)[0] for i in range(batch)])
         batched = net.predict_logits(x, p)
+        assert batched.tobytes() == broadcast_predict_logits(x, p).tobytes()
         assert np.max(np.abs(batched - per_utt)) <= 1e-12
         assert (np.argmax(batched, axis=1) == np.argmax(per_utt, axis=1)).all()
+
+    @pytest.mark.parametrize("frontend", net.FRONTENDS)
+    def test_predict_logits_matches_the_broadcast_loop_bit_for_bit(
+        self, tmp_path, frontend
+    ):
+        # Chunks of 1, 8, PREDICT_BATCH and 24 utterances, as views of one
+        # block like batched_logits' partial chunks; then a NaN in a later
+        # slab must be reported as the broadcast loop reports it.
+        state, utts, provider = self.make_state_and_utts(
+            tmp_path, frontend, n=24, n_samples=800, n_filters=6, hidden_size=9,
+            attn_size=5, clip_seconds=800 / 16000,
+        )
+        rng = np.random.default_rng(11)
+        for tensor in state.model.tensors().values():  # biases start at 0
+            tensor += 0.3 * rng.standard_normal(tensor.shape)
+        x = np.stack(
+            [net.frontend_forward(state.frontend, provider(u))[0].T for u in utts],
+            axis=1,
+        )
+        assert x.shape[0] > 4 * net.SLAB
+        for batch in (1, 8, net.PREDICT_BATCH, 24):
+            got = net.predict_logits(x[:, :batch], state.model)
+            want = broadcast_predict_logits(x[:, :batch], state.model)
+            assert got.tobytes() == want.tobytes(), batch
+        x[4 * net.SLAB + 1, 5, 2] = np.nan
+        ids = [u.utt_id for u in utts]
+        with pytest.raises(NumericError) as want:
+            broadcast_predict_logits(x, state.model, ids)
+        with pytest.raises(NumericError, match=f"^{re.escape(str(want.value))}$"):
+            net.predict_logits(x, state.model, ids)
 
     def test_predict_logits_holds_no_per_frame_block(self):
         # A (frames, batch, H) hidden block alone would be 2.9 MB here; the
