@@ -7,15 +7,15 @@ hand-derived, including backprop through time; the optimizer is SGD with
 classic momentum at batch size 1. Also here: RunConfig, the one settings
 object of a run (the learning rate, momentum and pre-emphasis are the
 paper's constants, not settings); the frontend (a filterbank, then a
-compression) and its per-utterance feature cache; make_train_state, the one
-place that decides which tensors learn; checkpoint serialization, which
-stores parameters only; the experiment that trains and tests every ablation
-configuration over seeds; and the gradient check, which compares the whole
-model's gradients with finite differences of its loss for every ablation
-configuration. Evaluation and validation run a forward-only copy of the
-classifier over chunks of PREDICT_BATCH utterances; it scores attention
-slab by slab into a running softmax, so a chunk holds no per-frame block of
-hidden states or scores.
+compression) as a fixed part, kept per utterance by the feature cache, and
+a learned part; make_train_state, the one place that decides which tensors
+learn; checkpoint serialization, which stores parameters only; the
+experiment that trains and tests every ablation configuration over seeds;
+and the gradient check, which compares the whole model's gradients with
+finite differences of its loss for every ablation configuration. Evaluation
+and validation run a forward-only copy of the classifier over chunks of
+PREDICT_BATCH utterances; it scores attention slab by slab into a running
+softmax, so a chunk holds no per-frame block of hidden states or scores.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .data import LABELS, Manifest, Utterance, pad_or_trim, read_wav, uar
 from .dsp import Waveform, preemphasis
 from .errors import ConfigError, NumericError, ValidationError
 from .melfb import (
-    FeatureMap,
     MelFilterbankMatrix,
     mean_variance_normalize,
     mel_energy_features,
@@ -629,9 +628,10 @@ class Frontend:
     """A filterbank, then a compression. The filterbank is the fixed mel
     energies when tdfb is None, otherwise the learnable time-domain one. The
     compression is PCEN when pcen is set, otherwise log(1 + x), standardized
-    per channel when mvn is set. build_frontend alone maps the config's
-    frontend to these; the config also gives the mel analysis window and
-    hop."""
+    per channel when mvn is set. frontend_fixed runs the stages before the
+    first learned one, frontend_learned the rest. build_frontend alone maps
+    the config's frontend to these; the config also gives the mel analysis
+    window and hop."""
 
     config: RunConfig
     mel_matrix: MelFilterbankMatrix
@@ -667,28 +667,40 @@ def build_frontend(cfg: RunConfig) -> Frontend:
     return fe
 
 
-def frontend_forward(fe: Frontend, wave: Waveform):
-    """Returns (values (channels, frames), FrontendCache)."""
+def frontend_fixed(fe: Frontend, wave: Waveform):
+    """The deepest output that no learned tensor reaches: the prepared
+    waveform for tdfb, the mel energies for PCEN, else the finished features."""
+    if fe.tdfb is not None:
+        return wave
     cfg = fe.config
-    tdfb_cache = None
-    if fe.tdfb is None:
-        energies = mel_energy_features(wave, fe.mel_matrix, cfg.win_len, cfg.hop)
-    else:
-        energies, tdfb_cache = tdfb_forward(wave, fe.tdfb)
-    values, cache = _compress(fe, energies, tdfb_cache)
+    energies = mel_energy_features(wave, fe.mel_matrix, cfg.win_len, cfg.hop)
+    if fe.pcen is not None:
+        return energies
+    values = np.log1p(energies.values)
     if fe.mvn:
         # Statistics come from the frames wholly inside the signal (at least
         # 2), so the zero padding does not shift or shrink them.
         n_stat = max(2, 1 + (wave.signal_len - cfg.win_len) // cfg.hop)
         values = mean_variance_normalize(values, n_stat)
-    return values, cache
+    return values
 
 
-def _compress(fe: Frontend, energies: FeatureMap, tdfb_cache: TdfbCache | None):
+def frontend_learned(fe: Frontend, fixed):
+    """The stages after frontend_fixed (none for mel and mel_mvn), on its
+    output; returns (values (channels, frames), FrontendCache)."""
+    cache = FrontendCache()
+    if fe.tdfb is None and fe.pcen is None:
+        return fixed, cache
+    if fe.tdfb is not None:
+        fixed, cache.tdfb = tdfb_forward(fixed, fe.tdfb)
     if fe.pcen is None:
-        return np.log1p(energies.values), FrontendCache(tdfb_cache)
-    out, pcen_cache = pcen_forward(energies, fe.pcen)
-    return out.values, FrontendCache(tdfb_cache, pcen_cache)
+        return np.log1p(fixed.values), cache
+    out, cache.pcen = pcen_forward(fixed, fe.pcen)
+    return out.values, cache
+
+
+def frontend_forward(fe: Frontend, wave: Waveform):
+    return frontend_learned(fe, frontend_fixed(fe, wave))
 
 
 def frontend_backward(fe: Frontend, grad_values, cache: FrontendCache) -> dict:
@@ -760,10 +772,8 @@ def prepare_waveform(w: Waveform, cfg: RunConfig) -> Waveform:
 
 def make_feature_provider(state: TrainState):
     """provider(utt) returns frontend_forward's (values, cache) for the
-    utterance, keeping the output of the frontend's fixed part per utterance
-    id: the finished features of mel and mel_mvn, the mel energies of
-    mel_pcen, and the prepared waveform of tdfb and tdfb_pcen. The learnable
-    part runs on every call."""
+    utterance: frontend_fixed's output is kept per utterance id, and
+    frontend_learned runs on every call."""
     fe = state.frontend
     cfg = state.config
     fixed: dict = {}
@@ -772,16 +782,8 @@ def make_feature_provider(state: TrainState):
         held = fixed.get(utt.utt_id)
         if held is None:
             held = prepare_waveform(read_wav(utt.path, cfg.sample_rate), cfg)
-            if fe.tdfb is None and fe.pcen is None:
-                held = frontend_forward(fe, held)[0]
-            elif fe.tdfb is None:
-                held = mel_energy_features(held, fe.mel_matrix, cfg.win_len, cfg.hop)
-            fixed[utt.utt_id] = held
-        if fe.tdfb is not None:
-            return frontend_forward(fe, held)
-        if fe.pcen is not None:
-            return _compress(fe, held, None)
-        return held, FrontendCache()
+            held = fixed[utt.utt_id] = frontend_fixed(fe, held)
+        return frontend_learned(fe, held)
 
     return provider
 
@@ -806,14 +808,6 @@ def utterance_loss_and_grads(
     grads, grad_values = classifier_backward(grad_logits, caches, state.model)
     grads.update(frontend_backward(state.frontend, grad_values, fe_cache))
     return loss, {name: grads[name] for name in state.tensors}
-
-
-def step_utterance(
-    state: TrainState, wave: Waveform, label_idx: int, frontend_out=None
-) -> float:
-    loss, grads = utterance_loss_and_grads(state, wave, label_idx, frontend_out)
-    sgd_momentum_step(state.tensors, grads, state.velocities)
-    return loss
 
 
 def predict_label(state: TrainState, wave: Waveform) -> int:
@@ -1028,8 +1022,6 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
         raise ConfigError("training needs non-empty train and valid splits")
 
     state = make_train_state(cfg)
-    label_to_idx = {label: i for i, label in enumerate(LABELS)}
-
     provider = make_feature_provider(state)
 
     def valid_uar() -> float:
@@ -1048,13 +1040,15 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
         for idx in order:
             utt = train_utts[idx]
             try:
-                loss = step_utterance(
-                    state, None, label_to_idx[utt.label], frontend_out=provider(utt)
+                loss, grads = utterance_loss_and_grads(
+                    state, None, LABELS.index(utt.label), provider(utt)
                 )
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, utterance {utt.utt_id}: {e}"
                 ) from e
+            sgd_momentum_step(state.tensors, grads, state.velocities)
+            del grads  # freed before the next step, whose peak memory it would raise
             losses.append(loss)
         epoch_uar = valid_uar()
         log_rows.append((epoch, float(np.mean(losses)), epoch_uar))
@@ -1162,7 +1156,11 @@ def overfit_check(manifest: Manifest, cfg: RunConfig) -> OverfitResult:
         epochs += 1
         for k in state.rng.permutation(len(subset)):
             u = subset[k]
-            step_utterance(state, None, LABELS.index(u.label), frontend_out=provider(u))
+            _, grads = utterance_loss_and_grads(
+                state, None, LABELS.index(u.label), provider(u)
+            )
+            sgd_momentum_step(state.tensors, grads, state.velocities)
+            del grads  # freed before the next step, whose peak memory it would raise
         current = mean_loss()
     return OverfitResult(initial, current, epochs, state)
 

@@ -4,7 +4,7 @@ Layer stack: complex 1-D convolution (1 -> 2N channels, stride 1, "same"
 zero padding), modulus and square fused as real^2 + imag^2 (2N -> N), fixed
 squared-Hann lowpass convolution with decimation (valid, stride = hop). The
 output is pre-compression energy; the log or PCEN that follows is the
-frontend's compression stage (net.frontend_forward). The first
+frontend's compression stage (net.frontend_learned). The first
 convolution's taps are initialized as Gabor wavelets matching the mel
 triangles and carry analytic gradients; the lowpass never receives
 gradient.
