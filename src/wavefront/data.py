@@ -1,6 +1,6 @@
-"""Corpus handling: WAV I/O, fixed-duration padding, speaker-disjoint
-manifests, a synthetic two-band corpus for desk-scale experiments, and the
-unweighted average recall metric."""
+"""Corpus handling: WAV I/O, speaker-disjoint manifests, a synthetic
+two-band corpus for desk-scale experiments, and the unweighted average
+recall metric."""
 
 from __future__ import annotations
 
@@ -80,8 +80,7 @@ def read_wav(path, expected_sample_rate: int = 16000) -> Waveform:
         raise OSError(f"truncated WAV file: {path}") from e
     if len(raw) < 2 * n_frames:
         raise OSError(f"truncated data chunk in {path}")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, expected_sample_rate)
+    return Waveform(np.frombuffer(raw, "<i2") / 32768.0, expected_sample_rate)
 
 
 def write_wav(path, w: Waveform) -> None:
@@ -93,24 +92,6 @@ def write_wav(path, w: Waveform) -> None:
         wf.setsampwidth(2)
         wf.setframerate(w.sample_rate)
         wf.writeframes(ints.tobytes())
-
-
-def pad_or_trim(w: Waveform, duration_s: float = 2.5) -> Waveform:
-    """Zero-pad at the end or truncate the tail to an exact sample count.
-
-    The result records how many leading samples are signal (n_signal); a
-    trimmed or exact-length clip is all signal.
-    """
-    target = int(round(duration_s * w.sample_rate))
-    n = len(w)
-    if n == target:
-        return w
-    if n < target:
-        samples = np.concatenate([w.samples, np.zeros(target - n)])
-    else:
-        samples = w.samples[:target].copy()
-    n_signal = min(w.signal_len, target)
-    return Waveform(samples, w.sample_rate, None if n_signal == target else n_signal)
 
 
 def save_manifest(m: Manifest, path, relative_to=None) -> None:

@@ -1,4 +1,4 @@
-"""Shared signal primitives: windows, pre-emphasis, framing, power spectrum.
+"""Shared signal primitives: windows, framing, power spectrum.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -57,18 +57,6 @@ def hanning_window(n_taps: int) -> np.ndarray:
 
 def squared_hanning_window(n_taps: int) -> np.ndarray:
     return hanning_window(n_taps) ** 2
-
-
-def preemphasis(w: Waveform, coeff: float) -> Waveform:
-    """First-order high-pass: out[t] = in[t] - coeff * in[t-1], out[0] = in[0].
-    The signal sample count is carried over."""
-    if not 0.0 <= coeff < 1.0:
-        raise ValueError(f"pre-emphasis coefficient must be in [0, 1), got {coeff}")
-    x = w.samples
-    out = np.empty_like(x)
-    out[0] = x[0]
-    out[1:] = x[1:] - coeff * x[:-1]
-    return Waveform(out, w.sample_rate, w.n_signal)
 
 
 def last_nonzero(samples: np.ndarray) -> int:

@@ -108,12 +108,11 @@ def mel_energy_features(
     # Frames that start past the last nonzero sample hold only zeros, and
     # so do their energies: only frames 0 .. last // hop are transformed.
     n_live = max(last_nonzero(w.samples), 0) // hop + 1
-    live = Waveform(w.samples[: (n_live - 1) * hop + win_len], w.sample_rate)
     # frame_signal is a view of the samples. The windowed frames are written
     # into one zeroed buffer of full transform rows, the only frame matrix a
     # feature pass builds. Its row count is the view's: a last nonzero
     # sample in a tail too short for a frame leaves fewer than n_live.
-    frames = frame_signal(live, win_len, hop)
+    frames = frame_signal(w, win_len, hop)[:n_live]
     if win_len > matrix.n_fft:
         raise ValueError(f"n_fft {matrix.n_fft} smaller than frame length {win_len}")
     padded = np.zeros((len(frames), matrix.n_fft))

@@ -6,16 +6,18 @@ vector, and a dense layer produces the label logits. All gradients are
 hand-derived, including backprop through time; the optimizer is SGD with
 classic momentum at batch size 1. Also here: RunConfig, the one settings
 object of a run (the learning rate, momentum and pre-emphasis are the
-paper's constants, not settings); the frontend (a filterbank, then a
-compression) as a fixed part, kept per utterance by the feature cache, and
-a learned part; make_train_state, the one place that decides which tensors
-learn; checkpoint serialization, which stores parameters only; the
-experiment that trains and tests every ablation configuration over seeds;
-and the gradient check, which compares the whole model's gradients with
-finite differences of its loss for every ablation configuration. Evaluation
-and validation run a forward-only copy of the classifier over chunks of
-PREDICT_BATCH utterances; it scores attention slab by slab into a running
-softmax, so a chunk holds no per-frame block of hidden states or scores.
+paper's constants, not settings); prepare_waveform, which pads or trims
+every clip to clip_seconds and pre-emphasises it in one pass; the frontend
+(a filterbank, then a compression) as a fixed part, kept per utterance by
+the feature cache, and a learned part; make_train_state, the one place that
+decides which tensors learn; checkpoint serialization, which stores
+parameters only; the experiment that trains and tests every ablation
+configuration over seeds; and the gradient check, which compares the
+whole model's gradients with finite differences of its loss for every
+ablation configuration. Evaluation and validation run a forward-only copy
+of the classifier over chunks of PREDICT_BATCH utterances; it scores
+attention slab by slab into a running softmax, so a chunk holds no
+per-frame block of hidden states or scores.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LABELS, Manifest, Utterance, pad_or_trim, read_wav, uar
-from .dsp import Waveform, preemphasis
+from .data import LABELS, Manifest, Utterance, read_wav, uar
+from .dsp import Waveform
 from .errors import ConfigError, NumericError, ValidationError
 from .melfb import (
     MelFilterbankMatrix,
@@ -328,16 +330,17 @@ def lstm_forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, LstmCache]:
     gi, gf, gg, go = (gates[:, k * h : (k + 1) * h] for k in range(4))
     h_prev = np.zeros(h)
     c_prev = np.zeros(h)
-    for t in range(n_frames):
-        g = gates[t]
+    for g, i_t, f_t, g_t, o_t, c_t, tc_t, h_t in zip(
+        gates, gi, gf, gg, go, cells, tanh_cells, hidden
+    ):
         g += wh @ h_prev
         np.tanh(g, out=g)
         g *= scale
         g += offset
-        c_prev = np.multiply(gf[t], c_prev, out=cells[t])
-        c_prev += gi[t] * gg[t]
-        np.tanh(c_prev, out=tanh_cells[t])
-        h_prev = np.multiply(go[t], tanh_cells[t], out=hidden[t])
+        c_prev = np.multiply(f_t, c_prev, out=c_t)
+        c_prev += i_t * g_t
+        np.tanh(c_prev, out=tc_t)
+        h_prev = np.multiply(o_t, tc_t, out=h_t)
     bad = ~np.isfinite(hidden).all(axis=1)
     if bad.any():
         raise NumericError(f"non-finite LSTM state at timestep {np.argmax(bad)}")
@@ -375,13 +378,14 @@ def lstm_backward(
     gf_next[:-1] = gf[1:]
     dh_next = np.zeros(h)
     dc = np.zeros(h)
-    for t in range(n_frames - 1, -1, -1):
-        dh = grad_hidden[t] + dh_next
-        dc = dc * gf_next[t] + dh * dc_from_dh[t]
-        row = coef[t]
+    for grad_h, f_next, dcdh, row, dz in zip(
+        grad_hidden[::-1], gf_next[::-1], dc_from_dh[::-1], coef[::-1], dz_all[::-1]
+    ):
+        dh = grad_h + dh_next
+        dc = dc * f_next + dh * dcdh
         np.multiply(row[:3], dc, out=row[:3])
         row[3] *= dh
-        dh_next = dz_all[t] @ p.lstm_wh
+        dh_next = dz @ p.lstm_wh
     h_prev_seq = np.vstack([np.zeros((1, h)), cache.hidden[:-1]])
     grads = {
         "lstm.wx": dz_all.T @ cache.x,
@@ -765,9 +769,23 @@ def make_train_state(cfg: RunConfig) -> TrainState:
 
 
 def prepare_waveform(w: Waveform, cfg: RunConfig) -> Waveform:
-    """Fixed-duration padding followed by pre-emphasis; both feature paths
-    consume the identical prepared signal."""
-    return preemphasis(pad_or_trim(w, cfg.clip_seconds), PREEMPHASIS)
+    """The clip zero-padded at the end or trimmed to clip_seconds, then
+    pre-emphasised, out[t] = in[t] - PREEMPHASIS * in[t-1] with out[0] =
+    in[0], written into one clip-length buffer; both feature paths consume
+    this signal. n_signal counts the clip's own samples, None when the clip
+    fills the prepared length."""
+    x = w.samples
+    target = int(round(cfg.clip_seconds * w.sample_rate))
+    n = min(x.size, target)
+    out = np.empty(target)
+    out[0] = x[0]
+    np.multiply(x[: n - 1], PREEMPHASIS, out=out[1:n])
+    np.subtract(x[1:n], out[1:n], out=out[1:n])
+    if n < target:  # the padding's zeros: only its first sample sees the clip
+        out[n] = 0.0 - PREEMPHASIS * x[n - 1]
+        out[n + 1 :] = 0.0
+    n_signal = min(w.signal_len, target)
+    return Waveform(out, w.sample_rate, None if n_signal == target else n_signal)
 
 
 def make_feature_provider(state: TrainState):
@@ -1034,18 +1052,20 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
     best_tensors = {k: v.copy() for k, v in checkpoint_tensors(state).items()}
     log_rows: list[tuple[int, float, float]] = []
 
+    step = 0  # updates made in this run
     for epoch in range(1, cfg.epochs + 1):
         order = state.rng.permutation(len(train_utts))
         losses = []
         for idx in order:
             utt = train_utts[idx]
+            step += 1
             try:
                 loss, grads = utterance_loss_and_grads(
                     state, None, LABELS.index(utt.label), provider(utt)
                 )
             except NumericError as e:
                 raise NumericError(
-                    f"epoch {epoch}, utterance {utt.utt_id}: {e}"
+                    f"epoch {epoch}, step {step}, utterance {utt.utt_id}: {e}"
                 ) from e
             sgd_momentum_step(state.tensors, grads, state.velocities)
             del grads  # freed before the next step, whose peak memory it would raise

@@ -193,7 +193,8 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     # Overlap-save: block b holds xp[b*step : b*step + block] of the padded
     # input xp, so its circular correlation with the taps equals the linear
     # one y[t] = sum_j taps[j] xp[t+j] at its first `step` outputs. The
-    # correlation's spectrum is DFT(taps)[-f] X[f] = conj(DFT(conj taps)) X.
+    # correlation's spectrum is DFT(taps)[-f] X[f], and DFT(taps)[-f] is the
+    # inverse transform of the taps without its 1 / block (norm="forward").
     # Outputs past the last nonzero input sample (t > pad_left + last) read
     # only zeros, so blocks from n_live on are exactly zero and skipped.
     last = last_nonzero(x)
@@ -201,8 +202,7 @@ def tdfb_forward(w: Waveform, p: TdfbParams) -> tuple[FeatureMap, TdfbCache]:
     xp = np.zeros((n_blocks - 1) * step + block)
     xp[pad_left : pad_left + n] = x
     spectra = np.fft.fft(sliding_window_view(xp, block)[::step][:n_live])
-    taps_spec = np.fft.fft(np.conj(_complex_taps(p)), block)
-    np.conj(taps_spec, out=taps_spec)
+    taps_spec = np.fft.ifft(_complex_taps(p), block, norm="forward")
     n_frames = (n - k2) // hop + 1
     pooled = np.empty((p.n_filters, n_frames))
     slots = _lowpass_slots(p.lowpass_taps, hop)

@@ -16,7 +16,6 @@ from wavefront.data import (
     Utterance,
     generate_synthetic,
     load_manifest,
-    pad_or_trim,
     read_wav,
     save_manifest,
     uar,
@@ -25,6 +24,7 @@ from wavefront.data import (
 )
 from wavefront.dsp import Waveform, power_spectrum
 from wavefront.errors import FormatError, ValidationError
+from wavefront.net import PREEMPHASIS, make_run_config, prepare_waveform
 
 
 class TestWavIO:
@@ -88,6 +88,18 @@ class TestWavIO:
         with pytest.raises(FormatError, match="empty.wav: empty data chunk"):
             read_wav(path)
 
+    def test_pcm_extremes_convert_as_float64_over_32768(self, tmp_path):
+        path = tmp_path / "extremes.wav"
+        pcm = np.array([-32768, 0, 32767], dtype="<i2")
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(pcm.tobytes())
+        samples = read_wav(path).samples
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == (pcm.astype(np.float64) / 32768.0).tobytes()
+
     def test_not_a_wav_file(self, tmp_path):
         path = tmp_path / "noise.wav"
         path.write_bytes(b"definitely not RIFF data")
@@ -95,45 +107,62 @@ class TestWavIO:
             read_wav(path)
 
 
+def prepare(w, clip_seconds=2.5):
+    return prepare_waveform(w, make_run_config("mel", clip_seconds=clip_seconds))
+
+
 class TestPadOrTrim:
+    """The padding and trimming of net.prepare_waveform, which pre-emphasises
+    the clip in the same pass."""
+
     def test_pads_short_input(self):
-        out = pad_or_trim(Waveform(np.ones(30000), 16000), 2.5)
+        out = prepare(Waveform(np.ones(30000), 16000))
         assert len(out) == 40000
-        assert np.all(out.samples[30000:] == 0.0)
+        # the first padded sample still sees the clip's last one
+        assert out.samples[30000] == -PREEMPHASIS
+        assert np.all(out.samples[30001:] == 0.0)
 
     def test_keeps_exact_input(self):
-        w = Waveform(np.ones(40000), 16000)
-        assert pad_or_trim(w, 2.5) is w
+        x = np.random.default_rng(3).standard_normal(40000)
+        w = Waveform(x.copy(), 16000)
+        out = prepare(w)
+        assert np.array_equal(w.samples, x)
+        assert out.samples[0] == x[0]
+        assert np.array_equal(out.samples[1:], x[1:] - PREEMPHASIS * x[:-1])
 
     def test_truncates_long_input(self):
         x = np.arange(50000, dtype=float)
-        out = pad_or_trim(Waveform(x, 16000), 2.5)
-        assert np.array_equal(out.samples, x[:40000])
+        out = prepare(Waveform(x, 16000))
+        assert len(out) == 40000
+        assert out.samples[0] == x[0]
+        assert np.array_equal(out.samples[1:], x[1:40000] - PREEMPHASIS * x[:39999])
 
     def test_records_signal_count_when_padding(self):
-        out = pad_or_trim(Waveform(np.ones(30000), 16000), 2.5)
+        out = prepare(Waveform(np.ones(30000), 16000))
         assert out.n_signal == 30000
         assert out.signal_len == 30000
 
     def test_padded_clip_keeps_its_count(self):
-        once = pad_or_trim(Waveform(np.ones(30000), 16000), 2.5)
-        assert pad_or_trim(once, 3.0).n_signal == 30000
-        assert pad_or_trim(once, 2.0).n_signal == 30000
-        assert pad_or_trim(once, 1.5).n_signal is None
+        once = prepare(Waveform(np.ones(30000), 16000))
+        assert prepare(once, 3.0).n_signal == 30000
+        assert prepare(once, 2.0).n_signal == 30000
+        assert prepare(once, 1.5).n_signal is None
 
     @pytest.mark.parametrize("n", [40000, 50000])
     def test_trimmed_or_exact_clip_is_all_signal(self, n):
-        out = pad_or_trim(Waveform(np.ones(n), 16000), 2.5)
+        out = prepare(Waveform(np.ones(n), 16000))
         assert out.n_signal is None
         assert out.signal_len == 40000
 
     @given(st.integers(1, 90000))
     @settings(max_examples=40)
     def test_idempotent(self, n):
-        w = Waveform(np.ones(n), 16000)
-        once = pad_or_trim(w, 2.5)
-        twice = pad_or_trim(once, 2.5)
-        assert np.array_equal(once.samples, twice.samples)
+        # Preparing a prepared clip pre-emphasises it again, but keeps its
+        # length and its signal count.
+        once = prepare(Waveform(np.ones(n), 16000))
+        twice = prepare(once)
+        assert len(twice) == len(once) == 40000
+        assert twice.n_signal == once.n_signal
 
 
 def table_layout_manifest():

@@ -1,18 +1,18 @@
-"""Window, pre-emphasis, framing, and power-spectrum primitives against direct
-oracles."""
+"""Window, framing, and power-spectrum primitives against direct oracles,
+and the pre-emphasis of the prepared waveform."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavefront import net
 from wavefront.dsp import (
     Waveform,
     frame_signal,
     hanning_window,
     last_nonzero,
     power_spectrum,
-    preemphasis,
     squared_hanning_window,
 )
 
@@ -51,28 +51,39 @@ class TestHanningWindow:
         assert squared_hanning_window(n) == pytest.approx(hanning_window(n) ** 2)
 
 
-class TestPreemphasis:
-    def test_constant_signal(self):
-        out = preemphasis(Waveform([1.0, 1.0, 1.0], 16000), 0.97)
-        assert out.samples == pytest.approx([1.0, 0.03, 0.03])
+def prepare(samples, n_signal=None):
+    """net.prepare_waveform at the default 2.5 s clip (40 000 samples)."""
+    return net.prepare_waveform(
+        Waveform(samples, 16000, n_signal), net.make_run_config("mel")
+    ).samples
 
-    def test_zero_coefficient_is_identity(self):
-        w = Waveform([0.3, -0.2, 0.9], 16000)
-        assert preemphasis(w, 0.0).samples == pytest.approx(w.samples)
+
+class TestPreemphasis:
+    """The pre-emphasis of net.prepare_waveform, out[t] = in[t] - 0.97
+    in[t-1] with out[0] = in[0], applied after padding or trimming."""
+
+    def test_constant_signal(self):
+        full = np.r_[1.0, np.full(39999, 0.03)]
+        np.testing.assert_allclose(prepare(np.ones(40000)), full, rtol=1e-12)
+        out = prepare([1.0, 1.0, 1.0])
+        assert out[:4] == pytest.approx([1.0, 0.03, 0.03, -0.97])
+        assert np.all(out[4:] == 0.0)
+
+    def test_zero_coefficient_is_identity(self, monkeypatch):
+        monkeypatch.setattr(net, "PREEMPHASIS", 0.0)
+        x = np.random.default_rng(4).uniform(-1, 1, 40000)
+        assert np.array_equal(prepare(x), x)
 
     def test_impulse(self):
-        out = preemphasis(Waveform([0.0, 1.0, 0.0], 16000), 0.97)
-        assert out.samples == pytest.approx([0.0, 1.0, -0.97])
+        out = prepare([0.0, 1.0, 0.0])
+        assert out[:3] == pytest.approx([0.0, 1.0, -0.97])
+        assert np.all(out[3:] == 0.0)
 
     def test_keeps_signal_count(self):
-        w = Waveform([0.3, -0.2, 0.0, 0.0], 16000, n_signal=2)
-        assert preemphasis(w, 0.97).n_signal == 2
-        assert preemphasis(Waveform([0.3, -0.2], 16000), 0.97).n_signal is None
-
-    @pytest.mark.parametrize("coeff", [-0.1, 1.0, 1.5])
-    def test_rejects_bad_coefficient(self, coeff):
-        with pytest.raises(ValueError):
-            preemphasis(Waveform([1.0, 2.0], 16000), coeff)
+        x = np.r_[0.3, -0.2, np.zeros(39998)]
+        cfg = net.make_run_config("mel")
+        assert net.prepare_waveform(Waveform(x, 16000, 2), cfg).n_signal == 2
+        assert net.prepare_waveform(Waveform(x, 16000), cfg).n_signal is None
 
     @given(
         st.lists(st.floats(-1, 1), min_size=2, max_size=50),
@@ -85,16 +96,12 @@ class TestPreemphasis:
         n = min(len(xs), len(ys))
         x = np.array(xs[:n])
         y = np.array(ys[:n])
-        lhs = preemphasis(Waveform(a * x + b * y + 1.0, 16000), 0.9).samples
+        lhs = prepare(a * x + b * y + 1.0)
         # offset by a constant signal keeps Waveform non-degenerate; subtract
         # its response to isolate the linear part
-        base = preemphasis(Waveform(np.ones(n), 16000), 0.9).samples
-        rhs = (
-            a * (preemphasis(Waveform(x + 1.0, 16000), 0.9).samples - base)
-            + b * (preemphasis(Waveform(y + 1.0, 16000), 0.9).samples - base)
-            + base
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        base = prepare(np.ones(n))
+        rhs = a * (prepare(x + 1.0) - base) + b * (prepare(y + 1.0) - base) + base
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 class TestFrameSignal:

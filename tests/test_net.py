@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from wavefront import net
 from wavefront.data import Utterance, read_wav, write_wav
 from wavefront.dsp import Waveform
@@ -593,6 +594,56 @@ class TestMelMvnPadding:
         assert np.all(np.isfinite(values))
 
 
+class TestPrepareWaveform:
+    """net.prepare_waveform against the two-step oracle: padding or trimming,
+    then pre-emphasis, each in its own pass."""
+
+    CFG = make_run_config("mel")
+
+    @staticmethod
+    def clips(n, seed):
+        """Clips of n samples: float and int16-valued, ending in +0.0, -0.0
+        or a sample of the clip, with n_signal unset and set."""
+        rng = np.random.default_rng(seed)
+        for x in (rng.uniform(-1, 1, n), rng.integers(-32768, 32768, n) / 32768.0):
+            for last in (None, 0.0, -0.0):
+                y = x.copy()
+                if last is not None:
+                    y[-1] = last
+                for n_signal in (None, (n + 1) // 2):
+                    yield Waveform(y, 16000, n_signal)
+
+    def assert_matches_oracle(self, n, seed):
+        for w in self.clips(n, seed):
+            got = net.prepare_waveform(w, self.CFG)
+            want = oracles.prepare_waveform(w, self.CFG.clip_seconds, net.PREEMPHASIS)
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.n_signal == want.n_signal
+            assert got.sample_rate == want.sample_rate
+
+    @pytest.mark.parametrize("n", [1, 2, 399, 400, 39999, 40000, 40001, 50000])
+    def test_matches_the_two_step_oracle(self, n):
+        self.assert_matches_oracle(n, n)
+
+    def test_matches_the_two_step_oracle_at_random_lengths(self):
+        for n in np.random.default_rng(7).integers(1, 90000, 12):
+            self.assert_matches_oracle(int(n), int(n))
+
+    def test_holds_one_clip_length_array(self):
+        # One clip-length float array, and the boolean mask of Waveform's
+        # finiteness check. The two-step oracle peaks at four float arrays:
+        # the padded copy, the product, the difference and the result.
+        w = Waveform(np.random.default_rng(8).uniform(-1, 1, 30000), 16000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = net.prepare_waveform(w, self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < out.samples.nbytes + len(out) + 4096
+
+
 class TestGradcheckRegistry:
     def test_all_ops_pass(self):
         rows = run_gradcheck()
@@ -1030,8 +1081,36 @@ class TestTrainRun(object):
         monkeypatch.setattr(net, "make_train_state", lambda cfg: state)
         with pytest.raises(NumericError) as e:
             net.train_run(manifest, state.config, tmp_path / "run")
-        expected = rf"epoch 1, utterance {first}: non-finite PCEN output at channel \d+"
-        assert re.fullmatch(expected + r", frame \d+", str(e.value)), str(e.value)
+        expected = (
+            rf"epoch 1, step 1, utterance {first}: "
+            r"non-finite PCEN output at channel \d+, frame \d+"
+        )
+        assert re.fullmatch(expected, str(e.value)), str(e.value)
+
+    def test_step_error_counts_the_updates_of_the_run(
+        self, small_corpus, tmp_path, monkeypatch
+    ):
+        # The step is the run's update count, not the epoch's: an error in the
+        # third update of epoch 2 names step n_train + 3.
+        manifest, _ = small_corpus
+        n_train = len(manifest.split("train"))
+        cfg = make_run_config("mel", seed=0, epochs=2)
+        rng = make_train_state(cfg).rng
+        rng.permutation(n_train)
+        third = manifest.split("train")[rng.permutation(n_train)[2]].utt_id
+        real = net.utterance_loss_and_grads
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == n_train + 3:
+                raise NumericError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(net, "utterance_loss_and_grads", failing)
+        with pytest.raises(NumericError) as e:
+            net.train_run(manifest, cfg, tmp_path / "run")
+        assert str(e.value) == f"epoch 2, step {n_train + 3}, utterance {third}: boom"
 
     def test_early_stopping_bounds_improvement_gaps(self, small_corpus, tmp_path):
         manifest, _ = small_corpus

@@ -1,13 +1,14 @@
 """Learnable filterbank: Gabor initialization, forward stack, gradients."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import log_mel_features
+from oracles import log_mel_features, preemphasis
 from wavefront import tdfb
-from wavefront.dsp import Waveform, preemphasis
+from wavefront.dsp import Waveform
 from wavefront.melfb import mel_filterbank_matrix
 from wavefront.tdfb import (
     center_frequency_report,
@@ -209,6 +210,34 @@ class TestForward:
         expected = oracle_energy(x, p, range(3))
         for ch in range(3):
             assert_rel_close(fm.values[ch], expected[ch], 1e-12)
+
+    @pytest.mark.parametrize(
+        "params_of",
+        [
+            lambda: init_tdfb_params(MATRIX),
+            lambda: toy_params(jitter_seed=20, kernel_width=5),
+            lambda: toy_params(jitter_seed=21, n_filters=3, kernel_width=2100),
+        ],
+        ids=["paper", "5-taps", "2100-taps"],
+    )
+    def test_taps_spectrum_is_the_conjugated_transform_of_conjugate_taps(
+        self, params_of
+    ):
+        # The correlation spectrum conj(DFT(conj taps)) from one inverse
+        # transform; 2100 taps take a 8192-point block. The bytes agree but
+        # for the sign of some zero parts (169 of the Gabor taps' 524 288 at
+        # paper shapes), and the tap gradient built on either is the same.
+        p = params_of()
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(20000)
+        fm, cache = tdfb_forward(Waveform(x, SR), p)
+        block = cache.spectra.shape[1]
+        taps = p.conv_taps[0::2] + 1j * p.conv_taps[1::2]
+        expected = np.conj(np.fft.fft(np.conj(taps), block))
+        assert (cache.taps_spec + 0.0).tobytes() == (expected + 0.0).tobytes()
+        g = rng.standard_normal(fm.values.shape)
+        old = dataclasses.replace(cache, taps_spec=expected)
+        assert tdfb_backward(g, cache).tobytes() == tdfb_backward(g, old).tobytes()
 
 
 class TestBackward:
