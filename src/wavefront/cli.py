@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import net
+from . import artifacts, gradcheck, net
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -154,13 +154,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(checkpoint: str, manifest, split: str, frontend: str | None) -> dict:
+def _checkpoint_state(checkpoint: str, frontend: str | None) -> net.TrainState:
+    """The checkpoint's state, refused when it does not use frontend."""
     state = net.state_from_checkpoint(checkpoint)
     if frontend is not None and state.config.frontend != frontend:
         raise ConfigError(
             f"checkpoint {checkpoint} uses frontend "
             f"'{state.config.frontend}', not '{frontend}'"
         )
+    return state
+
+
+def _eval_one(checkpoint: str, manifest, split: str, frontend: str | None) -> dict:
+    state = _checkpoint_state(checkpoint, frontend)
     utts = manifest.split(split)
     if not utts:
         raise ValidationError(f"split '{split}' is empty")
@@ -190,7 +196,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        net.write_atomic(args.out, [(text + "\n").encode()])
+        artifacts.write_atomic(args.out, [(text + "\n").encode()])
     return EXIT_OK
 
 
@@ -233,24 +239,9 @@ def cmd_overfit(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path, rows, header: str | None = None) -> None:
-    """Write the rows as CSV, atomically (net.write_atomic)."""
-    lines = [header] if header else []
-    lines += [
-        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-        for row in rows
-    ]
-    net.write_atomic(path, ["".join(line + "\n" for line in lines).encode()])
-
-
 def cmd_extract(args) -> int:
     if args.checkpoint:
-        state = net.state_from_checkpoint(args.checkpoint)
-        if args.frontend and state.config.frontend != args.frontend:
-            raise ConfigError(
-                f"checkpoint uses frontend '{state.config.frontend}', "
-                f"not '{args.frontend}'"
-            )
+        state = _checkpoint_state(args.checkpoint, args.frontend)
     elif args.frontend:
         state = net.make_train_state(net.make_run_config(args.frontend))
     else:
@@ -258,7 +249,7 @@ def cmd_extract(args) -> int:
     cfg = state.config
     wave = net.prepare_waveform(read_wav(args.wav, cfg.sample_rate), cfg)
     values, _ = net.frontend_forward(state.frontend, wave)
-    _write_csv(args.out, [tuple(float(v) for v in row) for row in values])
+    artifacts.write_csv(args.out, [tuple(float(v) for v in row) for row in values])
     print(f"wrote {values.shape[0]}x{values.shape[1]} features to {args.out}")
     return EXIT_OK
 
@@ -281,16 +272,16 @@ def cmd_inspect(args) -> int:
     if has_tdfb and args.what in ("filters", "all"):
         rows = center_frequency_report(state.frontend.tdfb, state.config.n_fft)
         path = out_dir / "filter_scale.csv"
-        _write_csv(path, rows, header="filter,learned_hz,init_hz")
+        artifacts.write_csv(path, rows, header="filter,learned_hz,init_hz")
         wrote.append(str(path))
         taps_path = out_dir / "filter_taps.csv"
         taps = state.frontend.tdfb.conv_taps
-        _write_csv(taps_path, [tuple(float(v) for v in row) for row in taps])
+        artifacts.write_csv(taps_path, [tuple(float(v) for v in row) for row in taps])
         wrote.append(str(taps_path))
     if has_pcen and args.what in ("pcen", "all"):
         rows = compression_report(state.frontend.pcen)
         path = out_dir / "pcen_compression.csv"
-        _write_csv(path, rows, header="channel,r_abs,alpha,delta")
+        artifacts.write_csv(path, rows, header="channel,r_abs,alpha,delta")
         wrote.append(str(path))
     for path in wrote:
         print(f"wrote {path}")
@@ -298,7 +289,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rows = net.run_gradcheck(args.seed)
+    rows = gradcheck.run_gradcheck(args.seed)
     width = max(len(f"{r.config}/{r.tensor}") for r in rows)
     failed = 0
     for r in rows:
@@ -306,7 +297,7 @@ def cmd_gradcheck(args) -> int:
         name = f"{r.config}/{r.tensor}"
         print(f"{name:<{width}}  max rel err {r.max_rel_err:.3e}  {status}")
         failed += 0 if r.passed else 1
-    limit = f"max rel err < {net.GRADCHECK_THRESHOLD:.0e}"
+    limit = f"max rel err < {gradcheck.GRADCHECK_THRESHOLD:.0e}"
     if failed:
         print(f"{failed} gradient check(s) failed ({limit})")
         return EXIT_NUMERIC

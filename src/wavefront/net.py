@@ -10,24 +10,19 @@ paper's constants, not settings); prepare_waveform, which pads or trims
 every clip to clip_seconds and pre-emphasises it in one pass; the frontend
 (a filterbank, then a compression) as a fixed part, kept per utterance by
 the feature cache, and a learned part; make_train_state, the one place that
-decides which tensors learn; checkpoint serialization, which stores
-parameters only; the experiment that trains and tests every ablation
-configuration over seeds; and the gradient check, which compares the
-whole model's gradients with finite differences of its loss for every
-ablation configuration. Evaluation and validation run a forward-only copy
-of the classifier over chunks of PREDICT_BATCH utterances; it scores
-attention slab by slab into a running softmax, so a chunk holds no
-per-frame block of hidden states or scores.
+decides which tensors learn, and state_from_checkpoint; train_epoch, the
+SGD pass of training and of the overfit check; and the experiment over
+every ablation configuration and seed. Evaluation and validation run a
+forward-only copy of the classifier over chunks of PREDICT_BATCH
+utterances, scoring attention slab by slab into a running softmax, so a
+chunk holds no per-frame block of hidden states or scores.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
-import struct
 import time
 import typing
 from dataclasses import dataclass
@@ -35,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_checkpoint, save_checkpoint, write_atomic, write_csv
 from .data import LABELS, Manifest, Utterance, read_wav, uar
 from .dsp import Waveform
 from .errors import ConfigError, NumericError, ValidationError
@@ -879,111 +875,6 @@ def evaluate(state: TrainState, utterances: list[Utterance]) -> EvalResult:
 # ---------------------------------------------------------------------------
 # Checkpoints
 
-_CKPT_MAGIC = b"WFCP"
-_CKPT_VERSION = 3
-
-
-def write_atomic(path, chunks) -> None:
-    """Write the byte chunks to a temp file in path's directory, then
-    os.replace it onto path. A write that fails leaves an earlier file at
-    path intact and removes the temp file. An OSError with an errno, from
-    the write or the rename, is raised again with that errno naming path
-    alone, not the temp file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException as e:
-        with contextlib.suppress(OSError):  # also when tmp was never made
-            tmp.unlink()
-        if isinstance(e, OSError) and e.errno is not None:
-            raise OSError(e.errno, e.strerror, str(path)) from e
-        raise
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Versioned binary container: named float64 tensors plus a JSON header
-    recording the config, its hash, seed, and epoch. Round-trips bit-exactly.
-    Version 3 stores parameters only, no optimizer velocities."""
-    names = sorted(tensors)
-    arrays = [np.ascontiguousarray(tensors[n], dtype="<f8") for n in names]
-    entries = [{"name": n, "shape": list(a.shape)} for n, a in zip(names, arrays)]
-    header = json.dumps(
-        {"version": _CKPT_VERSION, "meta": meta, "tensors": entries},
-        sort_keys=True,
-    ).encode()
-    head = [_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(header)), header]
-    write_atomic(path, head + arrays)
-
-
-def _tensor_entries(path, header, n_payload: int) -> list[tuple[str, tuple]]:
-    """(name, shape) of each tensor a checkpoint header lists, once the
-    header has the schema save_checkpoint writes and its tensors fill the
-    n_payload bytes after it exactly; ConfigError naming the file if not."""
-
-    def invalid(what):
-        return ConfigError(f"{path}: invalid checkpoint header: {what}")
-
-    if not isinstance(header, dict):
-        raise invalid("not a JSON object")
-    meta, listed = header.get("meta"), header.get("tensors")
-    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
-        raise invalid("'meta.config' is not an object")
-    if not isinstance(listed, list):
-        raise invalid("'tensors' is not a list")
-    entries: dict[str, tuple] = {}
-    for i, entry in enumerate(listed):
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(name, str) or name in entries:
-            raise invalid(f"tensor {i} has a missing or repeated name")
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or not all(
-            type(d) is int and d >= 0 for d in shape
-        ):
-            raise invalid(f"tensor '{name}' has shape {shape!r}, not a list of sizes")
-        entries[name] = tuple(shape)
-    n_bytes = sum(8 * math.prod(shape) for shape in entries.values())
-    if n_bytes != n_payload:
-        raise invalid(f"its tensors take {n_bytes} bytes but {n_payload} follow it")
-    return list(entries.items())
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Tensors and meta of a checkpoint written by save_checkpoint. A file
-    that breaks the format, its header schema included, raises ConfigError
-    naming it; nothing is read past a length before it is checked against
-    the file size."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise ConfigError(f"{path} is not a checkpoint file")
-        fixed = fh.read(12)
-        if len(fixed) != 12:
-            raise ConfigError(f"{path} is truncated inside its checkpoint header")
-        version, header_len = struct.unpack("<IQ", fixed)
-        if version != _CKPT_VERSION:
-            raise ConfigError(
-                f"{path}: checkpoint version {version}, this build reads only "
-                f"version {_CKPT_VERSION}"
-            )
-        n_rest = os.fstat(fh.fileno()).st_size - 16
-        if header_len > n_rest:
-            raise ConfigError(
-                f"{path}: header length {header_len} exceeds the {n_rest} bytes left"
-            )
-        try:
-            header = json.loads(fh.read(header_len).decode())
-        except ValueError as e:
-            raise ConfigError(f"{path}: checkpoint header is not JSON: {e}") from e
-        tensors = {}
-        for name, shape in _tensor_entries(path, header, n_rest - header_len):
-            blob = fh.read(8 * math.prod(shape))
-            tensors[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
-    return tensors, header["meta"]
-
 
 def state_from_checkpoint(path) -> TrainState:
     """Rebuild a TrainState with all parameters (the PCEN ones that are not
@@ -1019,6 +910,28 @@ def state_from_checkpoint(path) -> TrainState:
 # Training loop
 
 
+def train_epoch(state: TrainState, provider, utts, epoch: int) -> list[float]:
+    """One SGD pass over utts in a fresh state.rng order; returns the losses.
+    A NumericError is raised again prefixed `epoch E, step S, utterance U:`,
+    S counting the updates since epoch 1 began."""
+    losses = []
+    order = state.rng.permutation(len(utts))
+    for step, idx in enumerate(order, start=(epoch - 1) * len(utts) + 1):
+        utt = utts[idx]
+        try:
+            loss, grads = utterance_loss_and_grads(
+                state, None, LABELS.index(utt.label), provider(utt)
+            )
+        except NumericError as e:
+            raise NumericError(
+                f"epoch {epoch}, step {step}, utterance {utt.utt_id}: {e}"
+            ) from e
+        sgd_momentum_step(state.tensors, grads, state.velocities)
+        del grads  # freed before the next step, whose peak memory it would raise
+        losses.append(loss)
+    return losses
+
+
 @dataclass
 class TrainResult:
     best_epoch: int
@@ -1052,32 +965,14 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
     best_tensors = {k: v.copy() for k, v in checkpoint_tensors(state).items()}
     log_rows: list[tuple[int, float, float]] = []
 
-    step = 0  # updates made in this run
     for epoch in range(1, cfg.epochs + 1):
-        order = state.rng.permutation(len(train_utts))
-        losses = []
-        for idx in order:
-            utt = train_utts[idx]
-            step += 1
-            try:
-                loss, grads = utterance_loss_and_grads(
-                    state, None, LABELS.index(utt.label), provider(utt)
-                )
-            except NumericError as e:
-                raise NumericError(
-                    f"epoch {epoch}, step {step}, utterance {utt.utt_id}: {e}"
-                ) from e
-            sgd_momentum_step(state.tensors, grads, state.velocities)
-            del grads  # freed before the next step, whose peak memory it would raise
-            losses.append(loss)
+        losses = train_epoch(state, provider, train_utts, epoch)
         epoch_uar = valid_uar()
         log_rows.append((epoch, float(np.mean(losses)), epoch_uar))
         if epoch_uar > best_uar:
             best_uar = epoch_uar
             best_epoch = epoch
-            best_tensors = {
-                k: v.copy() for k, v in checkpoint_tensors(state).items()
-            }
+            best_tensors = {k: v.copy() for k, v in checkpoint_tensors(state).items()}
         elif epoch - best_epoch >= cfg.patience:
             break
 
@@ -1092,10 +987,7 @@ def train_run(manifest: Manifest, cfg: RunConfig, out_dir) -> TrainResult:
     checkpoint_path = out_dir / "checkpoint.ckpt"
     save_checkpoint(checkpoint_path, best_tensors, meta)
 
-    log = "epoch,train_loss,valid_uar\n" + "".join(
-        f"{epoch},{loss!r},{epoch_uar!r}\n" for epoch, loss, epoch_uar in log_rows
-    )
-    write_atomic(out_dir / "train_log.csv", [log.encode()])
+    write_csv(out_dir / "train_log.csv", log_rows, "epoch,train_loss,valid_uar")
     config_json = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
     write_atomic(out_dir / "config.json", [config_json.encode()])
 
@@ -1174,86 +1066,6 @@ def overfit_check(manifest: Manifest, cfg: RunConfig) -> OverfitResult:
     epochs = 0
     while epochs < cfg.epochs and not current < 0.1 * initial:
         epochs += 1
-        for k in state.rng.permutation(len(subset)):
-            u = subset[k]
-            _, grads = utterance_loss_and_grads(
-                state, None, LABELS.index(u.label), provider(u)
-            )
-            sgd_momentum_step(state.tensors, grads, state.velocities)
-            del grads  # freed before the next step, whose peak memory it would raise
+        train_epoch(state, provider, subset, epochs)
         current = mean_loss()
     return OverfitResult(initial, current, epochs, state)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-# A row passes when its max_relative_error is below this.
-GRADCHECK_THRESHOLD = 1e-5
-
-
-@dataclass(frozen=True)
-class GradcheckRow:
-    config: str  # the ablation row, by config_label
-    tensor: str
-    max_rel_err: float
-    passed: bool
-
-
-def numeric_gradient(loss_fn, tensor: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central differences D(h) and D(h/2) per entry, extrapolated as
-    (4 D(h/2) - D(h)) / 3 to cancel the h^2 term; the tensor is perturbed in
-    place and restored."""
-    grad = np.zeros_like(tensor)
-    for idx in np.ndindex(tensor.shape):
-        orig = tensor[idx]
-        central = []
-        for step in (h, h / 2.0):
-            tensor[idx] = orig + step
-            f_plus = loss_fn()
-            tensor[idx] = orig - step
-            f_minus = loss_fn()
-            central.append((f_plus - f_minus) / (2.0 * step))
-        tensor[idx] = orig
-        grad[idx] = (4.0 * central[1] - central[0]) / 3.0
-    return grad
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """The largest entry of |analytic - numeric|, relative to the tensor's
-    largest gradient entry."""
-    scale = max(np.abs(analytic).max(), np.abs(numeric).max())
-    return float(np.abs(analytic - numeric).max() / scale)
-
-
-def run_gradcheck(seed: int = 0) -> list[GradcheckRow]:
-    """utterance_loss_and_grads against finite differences of utterance_loss,
-    for every ablation config and every learned tensor, on a tiny model with
-    jittered taps and PCEN parameters. One channel's r is negative, so
-    sign(r) enters the r gradient."""
-    rows = []
-    for kind, learn in ABLATION_CONFIGS:
-        cfg = make_run_config(
-            kind, learn, seed=seed, n_filters=2, win_len=9, hop=4, n_fft=64,
-            hidden_size=4, attn_size=3, clip_seconds=64 / 16000,
-        )
-        state = make_train_state(cfg)
-        fe, rng = state.frontend, state.rng
-        if fe.tdfb is not None:
-            fe.tdfb.conv_taps += 0.05 * rng.standard_normal(fe.tdfb.conv_taps.shape)
-        if fe.pcen is not None:
-            fe.pcen.alpha += rng.normal(0.0, 0.05, 2)
-            fe.pcen.delta += rng.uniform(-0.3, 0.5, 2)
-            fe.pcen.r += rng.normal(0.0, 0.08, 2)
-            fe.pcen.r[0] *= -1.0
-        wave = Waveform(rng.standard_normal(64), 16000)
-
-        def loss_fn():
-            return utterance_loss(state, wave, 0)
-
-        _, analytic = utterance_loss_and_grads(state, wave, 0)
-        label = config_label(kind, learn)
-        for name, target in state.tensors.items():
-            err = max_relative_error(analytic[name], numeric_gradient(loss_fn, target))
-            rows.append(GradcheckRow(label, name, err, err < GRADCHECK_THRESHOLD))
-    return rows

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import log_mel_features
-from wavefront import net
+from wavefront import gradcheck, net
 from wavefront.data import LABELS, uar
 from wavefront.dsp import Waveform
 from wavefront.melfb import FeatureMap, mel_filterbank_matrix
@@ -51,7 +51,7 @@ def cli(*args, blas_threads=1):
 
 def test_gradient_suite():
     t0 = time.perf_counter()
-    rows = net.run_gradcheck()
+    rows = gradcheck.run_gradcheck()
     wall = time.perf_counter() - t0
     worst = max(rows, key=lambda r: r.max_rel_err)
     for row in rows:

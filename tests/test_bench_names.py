@@ -35,3 +35,17 @@ def test_feature_provider_factory_exists():
     from wavefront import net
 
     assert callable(net.make_feature_provider)
+
+
+def test_train_run_saves_through_the_traced_name(small_corpus, tmp_path, monkeypatch):
+    """The tracer replaces net.save_checkpoint; its span records train_run's
+    save only while train_run calls the name bound in net."""
+    from wavefront import net
+
+    manifest, _ = small_corpus
+    saved = []
+    monkeypatch.setattr(
+        net, "save_checkpoint", lambda path, tensors, meta: saved.append(path)
+    )
+    net.train_run(manifest, net.make_run_config("mel", epochs=0), tmp_path)
+    assert saved == [tmp_path / "checkpoint.ckpt"]

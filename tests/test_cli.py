@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefront import cli, net
+from wavefront import artifacts, cli, gradcheck, net
 from wavefront.data import (
     Manifest,
     SyntheticSpec,
@@ -128,10 +128,10 @@ class TestGradcheckCommand:
 
     def test_broken_selftest_fails_with_numeric_exit(self, monkeypatch, capsys):
         rows = [
-            net.GradcheckRow("mel", "lstm.wx", 1e-9, True),
-            net.GradcheckRow("mel", "lstm.wh", 0.5, False),
+            gradcheck.GradcheckRow("mel", "lstm.wx", 1e-9, True),
+            gradcheck.GradcheckRow("mel", "lstm.wh", 0.5, False),
         ]
-        monkeypatch.setattr(net, "run_gradcheck", lambda seed: rows)
+        monkeypatch.setattr(gradcheck, "run_gradcheck", lambda seed: rows)
         assert run_cli(["gradcheck"]) == 4
         out = capsys.readouterr().out.splitlines()
         assert out[1].startswith("mel/lstm.wh") and out[1].endswith("FAIL")
@@ -291,6 +291,19 @@ class TestExtractCommand:
         rows = out_csv.read_text().strip().splitlines()
         assert len(rows) == 64
         assert all(len(r.split(",")) == 248 for r in rows)
+
+    def test_checkpoint_frontend_mismatch_names_the_checkpoint(
+        self, trained_mel_run, zero_wav, tmp_path, capsys
+    ):
+        checkpoint = trained_mel_run / "checkpoint.ckpt"
+        out_csv = tmp_path / "x.csv"
+        code = run_cli([
+            "extract", "--wav", str(zero_wav), "--checkpoint", str(checkpoint),
+            "--frontend", "tdfb", "--out", str(out_csv),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and str(checkpoint) in err, err
+        assert not out_csv.exists()
 
     def test_missing_wav_is_data_error(self, tmp_path):
         code = run_cli([
@@ -686,7 +699,7 @@ class TestAtomicOutputs:
         def refuse(src, dst):
             raise OSError("replace refused")
 
-        monkeypatch.setattr(net.os, "replace", refuse)
+        monkeypatch.setattr(artifacts.os, "replace", refuse)
         assert run_cli(args) == 3
         assert capsys.readouterr().err.count("\n") == 1
         assert sorted(f.name for f in out_dir.iterdir()) == sorted(names)

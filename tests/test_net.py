@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wavefront import net
+from wavefront import artifacts, gradcheck, net
 from wavefront.data import Utterance, read_wav, write_wav
 from wavefront.dsp import Waveform
 from wavefront.errors import ConfigError, NumericError, ValidationError
@@ -23,7 +23,6 @@ from wavefront.net import (
     lstm_forward,
     make_run_config,
     make_train_state,
-    run_gradcheck,
     sgd_momentum_step,
     utterance_loss_and_grads,
 )
@@ -646,13 +645,13 @@ class TestPrepareWaveform:
 
 class TestGradcheckRegistry:
     def test_all_ops_pass(self):
-        rows = run_gradcheck()
+        rows = gradcheck.run_gradcheck()
         assert rows, "the gradient check returned no rows"
         for row in rows:
             assert row.passed, f"{row.config}/{row.tensor}: {row.max_rel_err:.2e}"
 
     def test_one_row_per_config_and_tensor(self):
-        rows = run_gradcheck()
+        rows = gradcheck.run_gradcheck()
         expected = []
         for kind, learn in net.ABLATION_CONFIGS:
             label = f"{kind}:{','.join(learn)}" if learn else kind
@@ -665,7 +664,7 @@ class TestGradcheckRegistry:
     @pytest.mark.acceptance
     def test_all_passes_over_40_seeds(self):
         for seed in range(40):
-            for row in run_gradcheck(seed):
+            for row in gradcheck.run_gradcheck(seed):
                 assert row.passed, (
                     f"seed {seed} {row.config}/{row.tensor}: {row.max_rel_err:.2e}"
                 )
@@ -680,12 +679,13 @@ class TestGradcheckRegistry:
         def loss_fn():
             return float((w @ x) @ probe)
 
-        numeric = net.numeric_gradient(loss_fn, w)
+        numeric = gradcheck.numeric_gradient(loss_fn, w)
         right = np.outer(probe, x)
         wrong = right.copy()
         wrong[0, 0] *= 1.01
-        assert net.max_relative_error(right, numeric) < net.GRADCHECK_THRESHOLD
-        assert net.max_relative_error(wrong, numeric) > net.GRADCHECK_THRESHOLD
+        threshold = gradcheck.GRADCHECK_THRESHOLD
+        assert gradcheck.max_relative_error(right, numeric) < threshold
+        assert gradcheck.max_relative_error(wrong, numeric) > threshold
 
 
 class TestCheckpoint:
@@ -750,7 +750,7 @@ class TestCheckpoint:
         def refuse(src, dst):
             raise OSError("replace refused")
 
-        monkeypatch.setattr(net.os, "replace", refuse)
+        monkeypatch.setattr(artifacts.os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
             net.save_checkpoint(path, {"a": np.zeros(3)}, {"seed": 1})
         assert path.read_bytes() == before
@@ -1111,6 +1111,32 @@ class TestTrainRun(object):
         with pytest.raises(NumericError) as e:
             net.train_run(manifest, cfg, tmp_path / "run")
         assert str(e.value) == f"epoch 2, step {n_train + 3}, utterance {third}: boom"
+
+    def test_overfit_step_error_names_the_epoch_and_utterance(
+        self, small_corpus, monkeypatch
+    ):
+        # overfit_check runs train_run's epoch: an error in its third update
+        # names epoch 1, step 3 and the utterance of that update.
+        manifest, _ = small_corpus
+        train = manifest.split("train")
+        subset = []
+        for label in net.LABELS:
+            subset += [u for u in train if u.label == label][:5]
+        cfg = make_run_config("mel", seed=0, epochs=1)
+        third = subset[make_train_state(cfg).rng.permutation(len(subset))[2]].utt_id
+        real = net.utterance_loss_and_grads
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NumericError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(net, "utterance_loss_and_grads", failing)
+        with pytest.raises(NumericError) as e:
+            net.overfit_check(manifest, cfg)
+        assert str(e.value) == f"epoch 1, step 3, utterance {third}: boom"
 
     def test_early_stopping_bounds_improvement_gaps(self, small_corpus, tmp_path):
         manifest, _ = small_corpus

@@ -71,6 +71,24 @@ def test_import_without_mallopt_leaves_the_allocator_alone():
         assert float(faults) > 10 * max(kept_faults, 1.0), (faults, kept_faults)
 
 
+def loaded_modules(module: str) -> set[str]:
+    """The package modules a fresh interpreter holds after importing module."""
+    out = run_python(
+        f"import sys, {module}\n"
+        "print(*(m for m in sys.modules if m.startswith('wavefront.')))"
+    )
+    return set(out.split())
+
+
+def test_layering():
+    """The model does not import the gradient check or the CLI, and the
+    file formats import no package module but errors."""
+    assert not {"wavefront.gradcheck", "wavefront.cli"} & loaded_modules("wavefront.net")
+    assert loaded_modules("wavefront.artifacts") == {
+        "wavefront.artifacts", "wavefront.errors",
+    }
+
+
 class StandInLibc:
     """A libc whose mallopt records its calls and answers `result`."""
 
